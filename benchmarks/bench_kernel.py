@@ -19,13 +19,12 @@ per-bench speedups; committing the result keeps the repo's perf history
 in one file. The workloads are seeded and deterministic — only the
 wall-clock varies between machines.
 
-The JSON schema (``bench-kernel/v3``)::
+The JSON schema (``bench-kernel/v4``)::
 
     {
-      "schema": "bench-kernel/v3",
+      "schema": "bench-kernel/v4",
       "python": "3.11.7",
       "created": "2026-08-05T12:00:00",
-      "backend": "calendar",              # scheduler backend benched
       "benches": {
         "<name>": {"wall_s": float,      # best-of-N wall clock
                     "events": int,        # scheduler events executed
@@ -43,12 +42,11 @@ v2 added the per-bench ``kernel`` section (``docs/metrics.md``): the
 deterministic counter deltas that explain a wall-clock movement —
 events scheduled vs executed, heap peaks, plan-cache hits, arrival
 copies. v3 resets the perf counters before every attempt (so high-water
-marks like ``heap_peak`` are per-bench, not cumulative), records the
-scheduler backend, and re-expresses ``cancel_heavy`` through the
-:class:`repro.sim.timers.TimerWave` bulk API — the same logical
-workload (N suppression timers armed, ~90% never fire), driven the way
-SRM suppression drives the new kernel. v1/v2 files are still accepted
-by ``--compare``.
+marks like ``heap_peak`` are per-bench, not cumulative). v4 drops the
+``backend`` field (the binary heap is the only scheduler) and arms
+``cancel_heavy``'s timers as plain :class:`repro.sim.timers.Timer`
+objects, the way :class:`repro.core.agent.SrmAgent` arms its request
+and repair timers. Older files are still accepted by ``--compare``.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import platform
 import sys
 import time
@@ -73,9 +70,8 @@ from repro.experiments.common import LossRecoverySimulation, Scenario
 from repro.net.node import Agent
 from repro.sim import perf
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import (SCHED_BACKEND_ENV, create_scheduler,
-                                 scheduler_backend)
-from repro.sim.timers import TimerWave
+from repro.sim.scheduler import EventScheduler
+from repro.sim.timers import Timer
 from repro.topology.random_tree import random_labeled_tree
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_kernel.json"
@@ -88,7 +84,7 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_kernel.json"
 
 def scheduler_churn(n: int) -> tuple[int, dict]:
     """Push n trivial events through the scheduler in shuffled time order."""
-    sched = create_scheduler()
+    sched = EventScheduler()
     rng = RandomSource(1)
     times = [rng.uniform(0.0, 1000.0) for _ in range(n)]
     noop = lambda: None
@@ -104,19 +100,15 @@ def cancel_heavy(n: int, cancel_fraction: float = 0.9) -> tuple[int, dict]:
     Models SRM request/repair suppression: timers are set in waves, the
     earliest few fire, and the rest are cancelled in bulk — exactly how
     a suppression round plays out (the first expiring member's multicast
-    suppresses everyone else's pending timer). Driven through the
-    :class:`TimerWave` bulk API: one ``arm`` per wave, a run to the
-    suppression horizon, then ``cancel_all`` for the survivors. The
-    logical workload — ``n`` timers armed, ``cancel_fraction`` of them
-    never firing — matches the per-``Timer`` formulation this bench used
-    on the heap-only kernel, so wall-clock ratios against a pre-calendar
-    baseline compare the same protocol work.
+    suppresses everyone else's pending timer). Each member holds one
+    :class:`Timer`, armed per wave and cancelled if still pending at the
+    suppression horizon, as :class:`repro.core.agent.SrmAgent` does.
     """
-    sched = create_scheduler()
+    sched = EventScheduler()
     rng = RandomSource(2)
     fired = 0
 
-    def on_fire(member: int) -> None:
+    def on_fire() -> None:
         nonlocal fired
         fired += 1
 
@@ -133,12 +125,15 @@ def cancel_heavy(n: int, cancel_fraction: float = 0.9) -> tuple[int, dict]:
     # wrapper frames per draw would otherwise be a visible slice of a
     # bench whose kernel work is this cheap.
     u = rng._rng.random
+    timers = [Timer(sched, on_fire) for _ in range(wave)]
     for _ in range(waves):
-        delays = [lo + span * u() for _ in range(wave)]
-        suppression = TimerWave(sched, on_fire)
-        suppression.arm(delays)
+        for timer in timers:
+            timer.start(lo + span * u())
         sched.run(until=sched.now + horizon)
-        cancelled += suppression.cancel_all()
+        for timer in timers:
+            if timer.pending:
+                timer.cancel()
+                cancelled += 1
     return sched.events_processed, {
         "timers": waves * wave,
         "fired": fired,
@@ -296,15 +291,7 @@ def main(argv: Optional[list] = None) -> int:
                         help="best-of-N timing (default: %(default)s)")
     parser.add_argument("--quick", action="store_true",
                         help="tiny workloads (smoke test / CI)")
-    parser.add_argument("--sched-backend", choices=("heap", "calendar"),
-                        default=None,
-                        help="scheduler backend to bench (default: the "
-                             f"{SCHED_BACKEND_ENV} env var, or the "
-                             "kernel default)")
     args = parser.parse_args(argv)
-
-    if args.sched_backend:
-        os.environ[SCHED_BACKEND_ENV] = args.sched_backend
 
     benches: Dict[str, dict] = {}
     for name, fn in _bench_set(args.quick).items():
@@ -315,10 +302,9 @@ def main(argv: Optional[list] = None) -> int:
               f"{row['events_per_s'] or 0:>9} ev/s")
 
     payload = {
-        "schema": "bench-kernel/v3",
+        "schema": "bench-kernel/v4",
         "python": platform.python_version(),
         "created": datetime.datetime.now().isoformat(timespec="seconds"),
-        "backend": scheduler_backend(),
         "quick": args.quick,
         "repeat": args.repeat,
         "benches": benches,

@@ -73,24 +73,6 @@ def with_options(*installers: Callable) -> Callable:
     return decorate
 
 
-def sched_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    """--sched-backend for every command (installed unconditionally).
-
-    Selects the event-scheduler implementation by exporting
-    ``SRM_SCHED_BACKEND`` before any scheduler is built, so runner
-    worker processes inherit the choice too. Both backends execute
-    events in the identical (time, seq) order — this flag trades
-    performance profiles, never results.
-    """
-    from repro.sim.scheduler import _BACKENDS
-
-    sub.add_argument("--sched-backend", default=None,
-                     choices=list(_BACKENDS),
-                     help="event scheduler implementation (default: "
-                          "$SRM_SCHED_BACKEND or 'calendar'); results "
-                          "are identical either way")
-
-
 def base_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
     """--seed/--sims/--runs/--rounds/--profile/--check for every sweep."""
     sub.add_argument("--seed", type=int, default=None,
@@ -490,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in COMMANDS.items():
         defaults = DEFAULTS.get(name, {})
         sub = subparsers.add_parser(name, help=f"run {name}")
-        sched_options(sub, defaults)
         for installer in getattr(fn, "option_installers", ()):
             installer(sub, defaults)
     return parser
@@ -531,10 +512,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  {name}")
         return 0
     _resolve_seed(args)
-    if getattr(args, "sched_backend", None):
-        # Environment, not a module flag, for the same reason as
-        # SRM_CHECK below: runner worker processes inherit it.
-        env.set_sched_backend(args.sched_backend)
     if getattr(args, "check", False):
         # The environment variable (not a module flag) switches the mode
         # on: runner (and fleet) worker processes inherit it, so

@@ -25,7 +25,7 @@ from repro.net.network import Network
 from repro.net.packet import NodeId
 from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import SimScheduler
+from repro.sim.scheduler import EventScheduler
 from repro.topology.spec import TopologySpec
 
 #: Safety horizon per round; recovery in these experiments completes in a
@@ -120,7 +120,7 @@ class LossRecoverySimulation:
 
     def __init__(self, scenario: Scenario, config: Optional[SrmConfig] = None,
                  seed: int = 0, delivery: str = "direct",
-                 scheduler: Optional["SimScheduler"] = None) -> None:
+                 scheduler: Optional["EventScheduler"] = None) -> None:
         self.scenario = scenario
         self.config = config if config is not None else SrmConfig()
         self.master_rng = RandomSource(seed)

@@ -9,8 +9,8 @@ protocol over the same unit-delay trees as array operations:
 * member state lives in parallel numpy arrays indexed by membership
   position (the struct-of-arrays layout);
 * each timer class (request, repair) is one :class:`HerdWave` — a single
-  scheduler event armed at the array minimum, draining exact-tie batches
-  the way the calendar backend drains same-instant events;
+  scheduler event armed at the array minimum, draining each exact-tie
+  batch of member expiries in one callback;
 * multicast delivery is one :meth:`TreeIndex.dist_row_to` per send plus
   a stable radix sort, producing one scheduler event per distinct
   distance — the same per-distance merging the network layer performs;
@@ -62,7 +62,7 @@ from repro.metrics.events import LossEventReport, analyze_loss_event
 from repro.net.packet import DEFAULT_TTL
 from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import SimScheduler, create_scheduler
+from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import Trace
 
 FloatArray = Any
@@ -163,7 +163,7 @@ class HerdSimulation:
                  full_trace_threshold: int = FULL_TRACE_THRESHOLD,
                  pool_depth: int = DEFAULT_DEPTH,
                  inject: Optional[str] = None,
-                 scheduler: Optional[SimScheduler] = None) -> None:
+                 scheduler: Optional[EventScheduler] = None) -> None:
         if trace_mode not in ("auto", "full", "aggregate"):
             raise ValueError(f"unknown trace_mode {trace_mode!r}")
         self.scenario = scenario
@@ -206,7 +206,7 @@ class HerdSimulation:
                       or (trace_mode == "auto"
                           and count <= full_trace_threshold))
         self.scheduler = (scheduler if scheduler is not None
-                          else create_scheduler())
+                          else EventScheduler())
         self.trace = Trace(enabled=self._full)
         self.collector: Optional[MetricsCollector] = None
         if self._full:

@@ -7,12 +7,12 @@ array freely and call :meth:`resync`; when the head fires, every member
 whose expiry equals the fire time (an exact float comparison — herd
 expiries are built ``now + delay`` with the same one addition the agent
 uses, so equal instants are bit-equal) is handed to the callback as one
-tie batch, mirroring the calendar backend's same-instant draining.
+tie batch.
 
-Re-arming uses ``cancel()`` + ``schedule_at(absolute)`` rather than the
-relative ``reschedule_event``: a relative re-arm recomputes ``now +
-remaining`` and can drift a ulp away from the agent's expiry, which
-would silently break the differential equivalence suite.
+Re-arming uses ``cancel()`` + ``schedule_at(absolute)`` rather than a
+relative ``schedule``: a relative re-arm recomputes ``now + remaining``
+and can drift a ulp away from the agent's expiry, which would silently
+break the differential equivalence suite.
 """
 
 from __future__ import annotations

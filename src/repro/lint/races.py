@@ -2,14 +2,14 @@
 
 SRM's determinism contract says events firing at the same simulated
 instant must produce the *same protocol behavior* regardless of the
-order the scheduler drains them in — that is the invariant both the
-calendar-queue tie-batch drain and the herd engine's vectorized waves
-lean on for byte-identical cross-backend equivalence.
+order the scheduler drains them in — that is the invariant the herd
+engine's vectorized waves lean on for byte-identical equivalence with
+the agent engine.
 
 This module checks the invariant dynamically: it re-runs a scenario
 ``N`` times, once in the contract (time, seq) order and ``N - 1`` times
 under seeded permutations of every same-instant tie batch (via
-``set_tie_permuter`` on either scheduler backend), canonicalizes each
+``set_tie_permuter`` on the event scheduler), canonicalizes each
 run's trace stream, and diffs every permuted stream against the
 contract one. Any divergence is a tie-order race: some callback read
 state whose value depended on its same-instant neighbors' firing order.
@@ -32,11 +32,10 @@ import difflib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.scheduler import SimScheduler, TieBatch, create_scheduler
+from repro.sim.scheduler import EventScheduler, TieBatch
 from repro.sim.trace import Trace, TraceRecord
 
 DEFAULT_PERMUTATIONS = 8
-DEFAULT_BACKENDS: Tuple[str, ...] = ("calendar", "heap")
 
 #: Trace-detail keys masked during canonicalization.
 #:
@@ -155,8 +154,8 @@ def first_divergence(contract: Sequence[str],
 # Scenarios
 # ----------------------------------------------------------------------
 
-#: A scenario runner: (backend, permuter or None) -> canonical stream.
-ScenarioRunner = Callable[[str, Optional[TiePermutation]], List[str]]
+#: A scenario runner: permuter (None = contract order) -> canonical stream.
+ScenarioRunner = Callable[[Optional[TiePermutation]], List[str]]
 
 
 @dataclass(frozen=True)
@@ -168,13 +167,13 @@ class RaceScenario:
     runner: ScenarioRunner
 
 
-def _replay_spec(spec: "ExperimentSpec", backend: str,  # noqa: F821
+def _replay_spec(spec: "ExperimentSpec",  # noqa: F821
                  permuter: Optional[TiePermutation],
                  inject: Optional[str] = None) -> List[str]:
-    """One full replay of an experiment spec on an explicit backend."""
+    """One full replay of an experiment spec."""
     from repro.experiments.common import LossRecoverySimulation
 
-    scheduler: SimScheduler = create_scheduler(backend)
+    scheduler = EventScheduler()
     if permuter is not None:
         scheduler.set_tie_permuter(permuter)
     if spec.engine == "herd":
@@ -198,13 +197,13 @@ def _replay_spec(spec: "ExperimentSpec", backend: str,  # noqa: F821
 
 def _spec_runner(build: Callable[[], "ExperimentSpec"],  # noqa: F821
                  inject: Optional[str] = None) -> ScenarioRunner:
-    """Build the spec once, lazily, and replay it per (backend, perm)."""
+    """Build the spec once, lazily, and replay it per permutation."""
     cache: Dict[str, object] = {}
 
-    def run(backend: str, permuter: Optional[TiePermutation]) -> List[str]:
+    def run(permuter: Optional[TiePermutation]) -> List[str]:
         if "spec" not in cache:
             cache["spec"] = build()
-        return _replay_spec(cache["spec"], backend, permuter,  # type: ignore[arg-type]
+        return _replay_spec(cache["spec"], permuter,  # type: ignore[arg-type]
                             inject=inject)
 
     return run
@@ -278,8 +277,7 @@ def _herd_star_spec() -> "ExperimentSpec":  # noqa: F821
                           seed=11, engine="herd", experiment="scaling")
 
 
-def _canary_runner(backend: str,
-                   permuter: Optional[TiePermutation]) -> List[str]:
+def _canary_runner(permuter: Optional[TiePermutation]) -> List[str]:
     """The planted bug: unordered-set iteration in a timer callback.
 
     Twelve timers fire at the same instant. Each callback adds its tag
@@ -290,7 +288,7 @@ def _canary_runner(backend: str,
     defect SRM suppression code must never contain, kept here so the
     detector's catch rate is itself under test.
     """
-    scheduler: SimScheduler = create_scheduler(backend)
+    scheduler = EventScheduler()
     if permuter is not None:
         scheduler.set_tie_permuter(permuter)
     trace = Trace(enabled=True)
@@ -316,7 +314,7 @@ def _canary_runner(backend: str,
 
 
 #: The clean replay set: real paper scenarios that must be tie-order
-#: invariant on every backend (the acceptance gate for the detector).
+#: invariant (the acceptance gate for the detector).
 SCENARIOS: Tuple[RaceScenario, ...] = (
     RaceScenario("figure3-small",
                  "figure 3's smallest scenario (size-10 random tree)",
@@ -357,13 +355,12 @@ class RaceFinding:
     """One divergent permuted replay."""
 
     scenario: str
-    backend: str
     permutation: int
     divergence_line: int
     excerpt: str
 
     def format(self) -> str:
-        head = (f"RACE {self.scenario} [{self.backend}] "
+        head = (f"RACE {self.scenario} "
                 f"permutation {self.permutation}: trace diverges from "
                 f"contract order at canonical line "
                 f"{self.divergence_line}")
@@ -376,7 +373,6 @@ class RaceReport:
 
     findings: List[RaceFinding]
     scenarios: List[str]
-    backends: Tuple[str, ...]
     permutations: int
     replays: int
     permuted_batches: int
@@ -389,8 +385,7 @@ class RaceReport:
         lines = [finding.format() for finding in self.findings]
         lines.append(
             f"race check: {len(self.scenarios)} scenario(s) x "
-            f"{len(self.backends)} backend(s) x {self.permutations} "
-            f"permutations = {self.replays} replays, "
+            f"{self.permutations} permutations = {self.replays} replays, "
             f"{self.permuted_batches} tie batches permuted: "
             f"{len(self.findings)} divergence(s)")
         if not self.permuted_batches and not self.findings:
@@ -420,7 +415,6 @@ def resolve_scenarios(names: Optional[Sequence[str]] = None,
 
 
 def check_races(scenarios: Optional[Sequence[str]] = None,
-                backends: Sequence[str] = DEFAULT_BACKENDS,
                 permutations: int = DEFAULT_PERMUTATIONS,
                 inject: Optional[str] = None) -> RaceReport:
     """Replay each scenario under permuted drain orders and diff traces.
@@ -434,33 +428,24 @@ def check_races(scenarios: Optional[Sequence[str]] = None,
     if permutations < 2:
         raise ValueError("need at least 2 permutations (the contract "
                          "order plus one shuffle)")
-    unknown = [name for name in backends if name not in DEFAULT_BACKENDS]
-    if unknown:
-        raise ValueError(
-            f"unknown scheduler backend(s): {', '.join(unknown)} "
-            f"(expected one of {', '.join(DEFAULT_BACKENDS)})")
     chosen = resolve_scenarios(scenarios, inject=inject)
     findings: List[RaceFinding] = []
     replays = 0
     permuted_batches = 0
     for scenario in chosen:
-        for backend in backends:
-            contract = scenario.runner(backend, None)
+        contract = scenario.runner(None)
+        replays += 1
+        for index in range(1, permutations):
+            permuter = TiePermutation(index)
+            permuted = scenario.runner(permuter)
             replays += 1
-            for index in range(1, permutations):
-                permuter = TiePermutation(index)
-                permuted = scenario.runner(backend, permuter)
-                replays += 1
-                permuted_batches += permuter.batches
-                if permuted != contract:
-                    findings.append(RaceFinding(
-                        scenario=scenario.name, backend=backend,
-                        permutation=index,
-                        divergence_line=first_divergence(contract,
-                                                         permuted),
-                        excerpt=diff_excerpt(contract, permuted)))
+            permuted_batches += permuter.batches
+            if permuted != contract:
+                findings.append(RaceFinding(
+                    scenario=scenario.name, permutation=index,
+                    divergence_line=first_divergence(contract, permuted),
+                    excerpt=diff_excerpt(contract, permuted)))
     return RaceReport(findings=findings,
                       scenarios=[s.name for s in chosen],
-                      backends=tuple(backends),
                       permutations=permutations, replays=replays,
                       permuted_batches=permuted_batches)

@@ -38,8 +38,7 @@ from repro.lint.violations import Violation
 #: Scheduler entry points whose callable arguments become timer
 #: callbacks. Matches both ``self.scheduler.schedule(...)`` and a bare
 #: ``scheduler.schedule(...)``.
-_SCHEDULE_METHODS = {"schedule", "schedule_at", "schedule_many",
-                     "call_later", "call_at"}
+_SCHEDULE_METHODS = {"schedule", "schedule_at", "call_later", "call_at"}
 
 #: Wrapping one of these around the read discards arrival order.
 _ORDER_INSENSITIVE_SINKS = {"sorted", "sum", "min", "max", "len",

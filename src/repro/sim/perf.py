@@ -40,7 +40,6 @@ class PerfCounters:
         "events_cancelled",
         "heap_rebuilds",
         "heap_peak",
-        "bucket_resizes",
         "bucket_scan_len",
         "batched_deliveries",
         "plan_cache_hits",
@@ -59,8 +58,9 @@ class PerfCounters:
         self.events_cancelled = 0     # cancels of still-pending events
         self.heap_rebuilds = 0        # compactions of cancel-heavy heaps
         self.heap_peak = 0            # largest heap observed (entries)
-        self.bucket_resizes = 0       # calendar-queue bucket rebuilds
-        self.bucket_scan_len = 0      # calendar entries scanned on drain
+        # Heap entries popped by drains, live or cancelled. The name is
+        # from the removed calendar queue; the traced benchmark reads it.
+        self.bucket_scan_len = 0
         self.batched_deliveries = 0   # delivery events saved by batching
         self.plan_cache_hits = 0      # delivery plans served from cache
         self.plan_cache_misses = 0    # delivery plans (re)computed
@@ -80,7 +80,6 @@ class PerfCounters:
             "events_cancelled": self.events_cancelled,
             "heap_rebuilds": self.heap_rebuilds,
             "heap_peak": self.heap_peak,
-            "bucket_resizes": self.bucket_resizes,
             "bucket_scan_len": self.bucket_scan_len,
             "batched_deliveries": self.batched_deliveries,
             "plan_cache_hits": self.plan_cache_hits,
@@ -97,7 +96,6 @@ class PerfCounters:
         self.events_cancelled += other.events_cancelled
         self.heap_rebuilds += other.heap_rebuilds
         self.heap_peak = max(self.heap_peak, other.heap_peak)
-        self.bucket_resizes += other.bucket_resizes
         self.bucket_scan_len += other.bucket_scan_len
         self.batched_deliveries += other.batched_deliveries
         self.plan_cache_hits += other.plan_cache_hits
@@ -120,15 +118,11 @@ class PerfCounters:
         lines.append(f"events cancelled    {self.events_cancelled:12d}")
         lines.append(f"heap rebuilds       {self.heap_rebuilds:12d}")
         lines.append(f"heap peak           {self.heap_peak:12d}")
-        if self.bucket_resizes or self.bucket_scan_len:
-            lines.append(f"bucket resizes      {self.bucket_resizes:12d}")
-            scan = self.bucket_scan_len
-            if self.events_executed:
-                avg = scan / self.events_executed
-                lines.append(f"bucket scan len     {scan:12d} "
-                             f"({avg:.2f}/event)")
-            else:
-                lines.append(f"bucket scan len     {scan:12d}")
+        scan = self.bucket_scan_len
+        if scan and self.events_executed:
+            avg = scan / self.events_executed
+            lines.append(f"heap pops           {scan:12d} "
+                         f"({avg:.2f}/event)")
         if self.batched_deliveries:
             lines.append(f"batched deliveries  {self.batched_deliveries:12d}")
         plan_total = self.plan_cache_hits + self.plan_cache_misses

@@ -5,32 +5,20 @@ A simulation is a single scheduler plus callbacks. Events are ordered by
 they were scheduled, which keeps runs exactly reproducible for a given
 random seed.
 
-Two interchangeable backends implement that contract
-(:func:`create_scheduler` picks one from ``SRM_SCHED_BACKEND``; both
-execute any sequence of schedule/cancel/run calls in the identical
-(time, seq) order, so seeded traces are byte-identical across backends):
-
-* :class:`EventScheduler` — a binary heap of ``(time, seq, event)``
-  tuples with lazy deletion: a cancelled event stays in the heap and is
-  skipped when popped, and the heap is *compacted* when dead entries
-  become the majority. Tuple entries keep heap comparisons at C speed;
-  compaction keeps long cancel-heavy sessions from paying a log-factor
-  on dead weight.
-* :class:`CalendarScheduler` — a calendar queue (hierarchical time
-  buckets) purpose-built for SRM's timer-dominated workload: O(1)
-  schedule, **O(1) physical cancellation** (the entry is removed from
-  its bucket immediately via swap-remove, so the 90%+ of suppression
-  timers that never fire are never scanned, never compacted, never
-  comparison-sorted), and bucket width/count auto-resized from the live
-  timer population. Each entry is tagged with its integer bucket *day*
-  at insert, so drain eligibility is an exact integer compare — no
-  float boundary arithmetic that could reorder events across backends.
+:class:`EventScheduler` keeps a binary heap of ``(time, seq, event)``
+tuples with lazy deletion: a cancelled event stays in the heap and is
+skipped when popped, and the heap is *compacted* when dead entries
+become the majority. Tuple entries keep heap comparisons at C speed;
+compaction keeps long cancel-heavy sessions (SRM suppression cancels
+most of the request and repair timers it arms) from paying a log-factor
+on dead weight.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, ClassVar, List, Optional, Tuple, Union
+import os
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim import perf
 
@@ -38,11 +26,17 @@ from repro.sim import perf
 #: *and* they are the majority — small heaps never pay a rebuild.
 COMPACT_MIN_CANCELLED = 256
 
+_INF = float("inf")
+
+#: The retired backend switch. It stays declared because its name is part
+#: of the fleet wire schema; the heap is the only backend, so only
+#: ``heap`` (or unset) is accepted.
+SCHED_BACKEND_ENV = "SRM_SCHED_BACKEND"
+
 #: A same-instant tie batch as handed to a :data:`TiePermuter`: the
 #: ``(seq, event)`` pairs of every pending event at one simulated
-#: instant, in contract (seq-ascending) order. The event element is
-#: backend-specific (:class:`Event` or :class:`CalendarEvent`).
-TieBatch = List[Tuple[int, Any]]
+#: instant, in contract (seq-ascending) order.
+TieBatch = List[Tuple[int, "Event"]]
 
 #: Drain-order hook for the tie-order race detector
 #: (``repro.lint.races``): receives a seq-sorted same-instant batch and
@@ -105,13 +99,17 @@ class EventScheduler:
         sched.run(until=100.0)
     """
 
-    backend: ClassVar[str] = "heap"
-
     __slots__ = ("_heap", "_next_seq", "_now", "_running",
                  "_events_processed", "_cancelled_in_heap",
                  "_heap_rebuilds", "_tie_permuter", "perf")
 
     def __init__(self) -> None:
+        backend = os.environ.get(SCHED_BACKEND_ENV, "").strip().lower()
+        if backend not in ("", "heap"):
+            raise SimulationError(
+                f"{SCHED_BACKEND_ENV}={backend!r}: the calendar scheduler "
+                f"backend was removed; the binary heap is the only one "
+                f"(unset the variable or set it to 'heap')")
         self._heap: list[tuple[float, int, Event]] = []
         self._next_seq = 0
         self._now = 0.0
@@ -158,10 +156,15 @@ class EventScheduler:
 
     def schedule(self, delay: float, callback: Callable[..., Any],
                  *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` units from now."""
-        if delay < 0:
+        """Schedule ``callback(*args)`` to run ``delay`` units from now.
+
+        ``delay`` must be finite and non-negative: a NaN time compares
+        false against everything and would corrupt the heap order.
+        """
+        if not 0.0 <= delay < _INF:
             raise SimulationError(
-                f"cannot schedule {delay} units in the past (now={self._now})")
+                f"cannot schedule {delay} units from now={self._now}: "
+                f"the delay must be finite and non-negative")
         time = self._now + delay
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -172,43 +175,20 @@ class EventScheduler:
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        ``time`` must be finite and not before the clock.
+        """
+        if not self._now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule at {time}, clock already at {self._now}")
+                f"cannot schedule at {time}, clock already at {self._now}"
+                f" (the time must be finite and not in the past)")
         seq = self._next_seq
         self._next_seq = seq + 1
         event = Event(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, event))
         self.perf.events_scheduled += 1
         return event
-
-    def schedule_many(self, delays: List[float],
-                      callback: Callable[[], Any]) -> List[Event]:
-        """Arm one event per delay in a single call, in list order.
-
-        Equivalent to calling :meth:`schedule` once per delay — same
-        sequence numbers, same (time, seq) execution order, same
-        counters — but in one Python frame with the heap in locals.
-        """
-        now = self._now
-        seq = self._next_seq
-        heap = self._heap
-        push = heapq.heappush
-        out: List[Event] = []
-        append_out = out.append
-        for delay in delays:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay} units in the past (now={now})")
-            time = now + delay
-            event = Event(time, seq, callback, (), self)
-            push(heap, (time, seq, event))
-            seq += 1
-            append_out(event)
-        self._next_seq = seq
-        self.perf.events_scheduled += len(out)
-        return out
 
     def run_plan(self, base: float, entries: Tuple[Any, ...],
                  deliver_one: Callable[..., Any],
@@ -237,65 +217,6 @@ class EventScheduler:
             count += 1
         self._next_seq = seq
         self.perf.events_scheduled += count
-
-    def rearm_many(self, events: List[Event], delays: List[float]) -> None:
-        """Re-arm a batch of this scheduler's handles, one per delay.
-
-        Pending handles are cancelled (lazily) and replaced; the list is
-        updated *in place* with the fresh handles, so callers hold valid
-        pending events afterwards on either backend (the calendar moves
-        the same objects; the heap must reallocate because its entries
-        are immutable tuples).
-        """
-        now = self._now
-        seq = self._next_seq
-        heap = self._heap
-        push = heapq.heappush
-        counters = self.perf
-        dead = 0
-        for i, delay in enumerate(delays):
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay} units in the past (now={now})")
-            old = events[i]
-            if not old.cancelled:
-                old.cancelled = True
-                if old._sched is not None:
-                    dead += 1
-            time = now + delay
-            event = Event(time, seq, old.callback, old.args, self)
-            push(heap, (time, seq, event))
-            seq += 1
-            events[i] = event
-        self._next_seq = seq
-        self._cancelled_in_heap += dead
-        counters.events_cancelled += dead
-        counters.events_scheduled += len(delays)
-        cancelled = self._cancelled_in_heap
-        if (cancelled >= COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(heap)):
-            self._compact()
-
-    def cancel_many(self, events: List[Event]) -> None:
-        """Cancel a batch of this scheduler's handles in one frame.
-
-        Same lazy-deletion semantics and counters as individual
-        :meth:`Event.cancel` calls; the compaction check runs once at
-        the end of the batch instead of per cancel.
-        """
-        dead = 0
-        for event in events:
-            if event.cancelled:
-                continue
-            event.cancelled = True
-            if event._sched is not None:
-                dead += 1  # fired handles don't count, as with cancel()
-        self._cancelled_in_heap += dead
-        self.perf.events_cancelled += dead
-        cancelled = self._cancelled_in_heap
-        if (cancelled >= COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(self._heap)):
-            self._compact()
 
     def _note_cancelled(self, event: Event) -> None:
         """Bookkeeping for a cancel; compacts when dead entries dominate."""
@@ -340,6 +261,7 @@ class EventScheduler:
         heap = self._heap
         pop = heapq.heappop
         counters = self.perf
+        dead = 0  # cancelled entries popped; with executed, the pop count
         if len(heap) > counters.heap_peak:
             counters.heap_peak = len(heap)
         try:
@@ -350,6 +272,7 @@ class EventScheduler:
                 if event.cancelled:
                     pop(heap)
                     self._cancelled_in_heap -= 1
+                    dead += 1
                     continue
                 if until is not None and time > until:
                     break
@@ -366,6 +289,7 @@ class EventScheduler:
             self._running = False
             self._events_processed += executed
             counters.events_executed += executed
+            counters.bucket_scan_len += executed + dead
         return executed
 
     def _run_permuted(self, until: Optional[float],
@@ -378,8 +302,8 @@ class EventScheduler:
         and fires in the order it returns. A batch member cancelled by
         an earlier member is skipped, exactly as in the contract drain;
         events a callback schedules at the same instant get fresh seqs
-        and form the *next* batch, matching the calendar backend's
-        tie-group semantics. Cold path: only the race detector runs it.
+        and form the *next* batch, exactly where the contract drain
+        would fire them. Cold path: only the race detector runs it.
         """
         permuter = self._tie_permuter
         assert permuter is not None
@@ -390,6 +314,7 @@ class EventScheduler:
         heap = self._heap
         pop = heapq.heappop
         counters = self.perf
+        popped = 0
         try:
             while heap:
                 if max_events is not None and executed >= max_events:
@@ -398,12 +323,14 @@ class EventScheduler:
                 if head.cancelled:
                     pop(heap)
                     self._cancelled_in_heap -= 1
+                    popped += 1
                     continue
                 if until is not None and time > until:
                     break
                 batch: TieBatch = []
                 while heap and heap[0][0] == time:
                     _, _, event = pop(heap)
+                    popped += 1
                     if event.cancelled:
                         self._cancelled_in_heap -= 1
                         continue
@@ -433,13 +360,16 @@ class EventScheduler:
             self._running = False
             self._events_processed += executed
             counters.events_executed += executed
+            counters.bucket_scan_len += popped
         return executed
 
     def step(self) -> bool:
         """Execute the single next pending event. Returns False if none."""
         heap = self._heap
+        counters = self.perf
         while heap:
             time, _, event = heapq.heappop(heap)
+            counters.bucket_scan_len += 1
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
@@ -447,7 +377,7 @@ class EventScheduler:
             self._now = time
             event.callback(*event.args)
             self._events_processed += 1
-            self.perf.events_executed += 1
+            counters.events_executed += 1
             return True
         return False
 
@@ -473,865 +403,7 @@ class EventScheduler:
         self._events_processed = 0
 
 
-#: Smallest bucket count the calendar backend will use; resizing never
-#: shrinks below this, so tiny simulations skip resize churn entirely.
-MIN_BUCKETS = 32
-
-#: Resizing recomputes bucket width as ``2 * span / live`` so the live
-#: population spreads ~2 entries per day and one calendar year covers the
-#: whole span (bucket count stays within 2x of the live count). Clamped
-#: so a degenerate span can never produce a zero/denormal width.
-MIN_BUCKET_WIDTH = 1e-9
-
-#: Bucket-count ceiling. Beyond this, average occupancy grows instead of
-#: the table: a rebuild allocates ``nbuckets`` fresh lists and re-tags
-#: every live event, so letting the table chase a 10^5+ event population
-#: (e.g. a bulk pre-scheduled run) costs more in rebuild passes and
-#: allocation than the slightly longer bucket scans it avoids.
-MAX_BUCKETS = 1 << 16
-
-
-class CalendarEvent:
-    """A handle for a callback scheduled on the calendar backend.
-
-    Unlike the heap backend's lazy deletion, :meth:`cancel` *physically*
-    removes the entry from its bucket in O(1) (swap with the bucket's
-    last entry), so a cancelled timer costs nothing afterwards: it is
-    never scanned on drain and never triggers a compaction pass.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled",
-                 "_day", "_index", "_bucket", "_sched")
-
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any], args: Tuple[Any, ...],
-                 day: int, sched: "CalendarScheduler") -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: ``int(time * inv_width)`` under the owning scheduler's current
-        #: width; drain eligibility is the exact compare ``_day == day``.
-        self._day = day
-        self._index = 0
-        self._bucket: Optional[List["CalendarEvent"]] = None
-        self._sched = sched
-
-    def cancel(self) -> None:
-        """Remove the event from its bucket. Safe to call more than once."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        bucket = self._bucket
-        if bucket is None:
-            return  # already fired (or scheduler was reset): nothing to undo
-        self._bucket = None
-        index = self._index
-        last = bucket.pop()
-        if last is not self:
-            bucket[index] = last
-            last._index = index
-        sched = self._sched
-        sched._live -= 1
-        sched.perf.events_cancelled += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"<CalendarEvent t={self.time:.4f} {name} {state}>"
-
-
-class CalendarScheduler:
-    """A calendar-queue scheduler for timer-dominated workloads.
-
-    Pending events live in ``nbuckets`` bucket lists indexed by
-    ``day & (nbuckets - 1)`` where ``day = int(time / width)``. Buckets
-    are unordered bags: schedule appends (O(1)), cancel swap-removes
-    (O(1), physical), and draining min-scans the current day's bucket —
-    with width sized so a day holds ~2 live entries, the scan is O(1)
-    amortized. Bucket count doubles/halves with the live population and
-    width is recomputed from the observed interval span at each resize
-    (``bucket_resizes`` / ``bucket_scan_len`` perf counters track both).
-
-    Execution order is exactly (time, seq), identical to
-    :class:`EventScheduler`: day tags are computed with the same
-    monotonic ``int(time * inv_width)`` at insert and rebuild, so an
-    earlier event can never land in a later day, and ties inside a day
-    are broken by the scan's (time, seq) minimum.
-    """
-
-    backend: ClassVar[str] = "calendar"
-
-    __slots__ = ("now", "events_processed", "_buckets", "_nbuckets",
-                 "_mask", "_width", "_inv_width", "_day", "_live",
-                 "_gap_ewma", "_next_seq", "_running", "_tie_permuter",
-                 "perf")
-
-    def __init__(self, width: float = 1.0,
-                 nbuckets: int = MIN_BUCKETS) -> None:
-        n = MIN_BUCKETS
-        while n < nbuckets:
-            n <<= 1
-        #: Current simulated time (plain attribute: this is the kernel's
-        #: hottest read, via ``Agent.now``).
-        self.now = 0.0
-        self.events_processed = 0
-        self._buckets: List[List[CalendarEvent]] = [[] for _ in range(n)]
-        self._nbuckets = n
-        self._mask = n - 1
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._day = 0
-        self._live = 0
-        #: EWMA of the gap between consecutive *executed* event times —
-        #: the observed timer-interval distribution that width adaptation
-        #: targets. 0.0 until the first run() samples it.
-        self._gap_ewma = 0.0
-        self._next_seq = 0
-        self._running = False
-        self._tie_permuter: Optional[TiePermuter] = None
-        self.perf = perf.GLOBAL
-
-    def set_tie_permuter(self, permuter: Optional[TiePermuter]) -> None:
-        """Install (or clear) a same-instant drain-order hook.
-
-        The calendar's drain already collects each same-instant group as
-        one seq-sorted batch; with a permuter installed that batch fires
-        in the hook's order instead. Only the race detector does this;
-        ``None`` restores the contract order.
-        """
-        self._tie_permuter = permuter
-
-    @property
-    def heap_rebuilds(self) -> int:
-        """Heap-backend compatibility: the calendar never compacts."""
-        return 0
-
-    def bucket_count(self) -> int:
-        """Current number of buckets (power of two; instrumentation)."""
-        return self._nbuckets
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in simulated seconds (instrumentation)."""
-        return self._width
-
-    def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events. O(1)."""
-        return self._live
-
-    def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> CalendarEvent:
-        """Schedule ``callback(*args)`` to run ``delay`` units from now.
-
-        The insert body is duplicated with :meth:`schedule_at` (rather
-        than shared through a helper) deliberately: these two are the
-        kernel's hottest allocation sites and the extra frame shows up
-        in every profile.
-        """
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule {delay} units in the past (now={self.now})")
-        time = self.now + delay
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        day = int(time * self._inv_width)
-        event = object.__new__(CalendarEvent)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._day = day
-        event._sched = self
-        bucket = self._buckets[day & self._mask]
-        event._index = len(bucket)
-        event._bucket = bucket
-        bucket.append(event)
-        live = self._live + 1
-        self._live = live
-        if day < self._day:
-            self._day = day  # the new event is now the earliest pending day
-        self.perf.events_scheduled += 1
-        if live > (self._nbuckets << 1) and self._nbuckets < MAX_BUCKETS:
-            self._rebuild(min(self._nbuckets << 4, MAX_BUCKETS))
-        return event
-
-    def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> CalendarEvent:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time}, clock already at {self.now}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        day = int(time * self._inv_width)
-        event = object.__new__(CalendarEvent)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._day = day
-        event._sched = self
-        bucket = self._buckets[day & self._mask]
-        event._index = len(bucket)
-        event._bucket = bucket
-        bucket.append(event)
-        live = self._live + 1
-        self._live = live
-        if day < self._day:
-            self._day = day  # the new event is now the earliest pending day
-        self.perf.events_scheduled += 1
-        if live > (self._nbuckets << 1) and self._nbuckets < MAX_BUCKETS:
-            self._rebuild(min(self._nbuckets << 4, MAX_BUCKETS))
-        return event
-
-    def run_plan(self, base: float, entries: Tuple[Any, ...],
-                 deliver_one: Callable[..., Any],
-                 deliver_run: Callable[..., Any],
-                 arrivals: List[Any]) -> None:
-        """Schedule one delivery event per plan entry, in one frame.
-
-        ``entries`` are (delay, hops, target) delivery-plan rows; each
-        becomes an event at ``base + delay`` calling ``deliver_one`` for
-        scalar targets or ``deliver_run`` for tuple runs, with the
-        positionally matching packet from ``arrivals``. Equivalent to a
-        :meth:`schedule_at` per row — same seq order, same counters.
-
-        Events are built by direct slot assignment (``object.__new__``)
-        rather than the ``CalendarEvent`` constructor: this loop is the
-        single biggest event producer in delivery-heavy runs and the
-        ``__init__`` frame per event is a measurable share of it.
-        """
-        seq = self._next_seq
-        inv = self._inv_width
-        buckets = self._buckets
-        mask = self._mask
-        min_day = self._day
-        count = 0
-        new = object.__new__
-        for (delay, _, target), arrival in zip(entries, arrivals):
-            time = base + delay
-            day = int(time * inv)
-            event = new(CalendarEvent)
-            event.time = time
-            event.seq = seq
-            event.callback = (deliver_run if type(target) is tuple
-                              else deliver_one)
-            event.args = (target, arrival)
-            event.cancelled = False
-            event._day = day
-            event._sched = self
-            seq += 1
-            bucket = buckets[day & mask]
-            event._index = len(bucket)
-            event._bucket = bucket
-            bucket.append(event)
-            if day < min_day:
-                min_day = day
-            count += 1
-        self._next_seq = seq
-        self._day = min_day
-        live = self._live + count
-        self._live = live
-        self.perf.events_scheduled += count
-        target_n = self._nbuckets
-        while live > (target_n << 1) and target_n < MAX_BUCKETS:
-            target_n <<= 4
-        if target_n > MAX_BUCKETS:
-            target_n = MAX_BUCKETS
-        if target_n != self._nbuckets:
-            self._rebuild(target_n)
-
-    def reschedule_event(self, event: CalendarEvent,
-                         delay: float) -> CalendarEvent:
-        """Move a pending event to fire ``delay`` from now, in place.
-
-        Exactly equivalent to ``event.cancel()`` followed by
-        :meth:`schedule` with the same callback — same perf counters,
-        same fresh sequence number, same (time, seq) execution order —
-        but the entry object is *moved* between bags (two O(1) list
-        operations) instead of being discarded and reallocated. This is
-        the backbone of SRM timer re-arming (backoff, suppression
-        resets): the heap backend cannot offer it because its entries
-        are immutable tuples. A fired or cancelled handle is *revived*
-        in place (fresh seq, no allocation) — the caller must therefore
-        own the handle exclusively, which :class:`~repro.sim.timers.Timer`
-        guarantees.
-        """
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule {delay} units in the past (now={self.now})")
-        bucket = event._bucket
-        if bucket is None or event.cancelled:
-            # Fired/cancelled handle: revive in place — fresh seq, no
-            # allocation. Inlined (not a helper) because this is every
-            # one-shot timer re-arm, i.e. once per fire in wave
-            # workloads.
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            time = self.now + delay
-            day = int(time * self._inv_width)
-            event.time = time
-            event.seq = seq
-            event.cancelled = False
-            event._day = day
-            new_bucket = self._buckets[day & self._mask]
-            event._index = len(new_bucket)
-            event._bucket = new_bucket
-            new_bucket.append(event)
-            live = self._live + 1
-            self._live = live
-            if day < self._day:
-                self._day = day
-            self.perf.events_scheduled += 1
-            if live > (self._nbuckets << 1) and self._nbuckets < MAX_BUCKETS:
-                self._rebuild(min(self._nbuckets << 4, MAX_BUCKETS))
-            return event
-        counters = self.perf
-        counters.events_cancelled += 1
-        counters.events_scheduled += 1
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        time = self.now + delay
-        day = int(time * self._inv_width)
-        event.time = time
-        event.seq = seq
-        new_bucket = self._buckets[day & self._mask]
-        if new_bucket is not bucket:
-            index = event._index
-            last = bucket.pop()
-            if last is not event:
-                bucket[index] = last
-                last._index = index
-            event._index = len(new_bucket)
-            event._bucket = new_bucket
-            new_bucket.append(event)
-        event._day = day
-        if day < self._day:
-            self._day = day
-        return event
-
-    def schedule_many(self, delays: List[float],
-                      callback: Callable[[], Any]) -> List[CalendarEvent]:
-        """Arm one event per delay in a single call, in list order.
-
-        The batch entry point for suppression waves (a detected loss
-        arms a request timer on *every* member at once): one Python
-        frame, calendar geometry in locals. Equivalent to calling
-        :meth:`schedule` once per delay — same sequence numbers, same
-        (time, seq) execution order, same counters.
-        """
-        now = self.now
-        seq = self._next_seq
-        inv = self._inv_width
-        buckets = self._buckets
-        mask = self._mask
-        min_day = self._day
-        out: List[CalendarEvent] = []
-        append_out = out.append
-        for delay in delays:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay} units in the past (now={now})")
-            time = now + delay
-            day = int(time * inv)
-            event = CalendarEvent(time, seq, callback, (), day, self)
-            seq += 1
-            bucket = buckets[day & mask]
-            event._index = len(bucket)
-            event._bucket = bucket
-            bucket.append(event)
-            append_out(event)
-            if day < min_day:
-                min_day = day
-        self._next_seq = seq
-        self._day = min_day
-        count = len(out)
-        live = self._live + count
-        self._live = live
-        self.perf.events_scheduled += count
-        target = self._nbuckets
-        while live > (target << 1) and target < MAX_BUCKETS:
-            target <<= 4
-        if target > MAX_BUCKETS:
-            target = MAX_BUCKETS
-        if target != self._nbuckets:
-            self._rebuild(target)  # one jump, not a chain of doublings
-        return out
-
-    def rearm_many(self, events: List[CalendarEvent],
-                   delays: List[float]) -> None:
-        """Re-arm a batch of exclusively-owned handles, one per delay.
-
-        Each pending handle is moved (cancel + schedule, counters
-        included); each fired/cancelled handle is revived without
-        allocation. One frame for a whole wave — the mega-session
-        re-arm path.
-        """
-        now = self.now
-        seq = self._next_seq
-        inv = self._inv_width
-        buckets = self._buckets
-        mask = self._mask
-        min_day = self._day
-        counters = self.perf
-        revived = 0
-        moved = 0
-        for event, delay in zip(events, delays):
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay} units in the past (now={now})")
-            time = now + delay
-            day = int(time * inv)
-            old_bucket = event._bucket
-            if old_bucket is None or event.cancelled:
-                event.cancelled = False
-                revived += 1
-            else:
-                moved += 1
-                index = event._index
-                last = old_bucket.pop()
-                if last is not event:
-                    old_bucket[index] = last
-                    last._index = index
-            event.time = time
-            event.seq = seq
-            seq += 1
-            event._day = day
-            bucket = buckets[day & mask]
-            event._index = len(bucket)
-            event._bucket = bucket
-            bucket.append(event)
-            if day < min_day:
-                min_day = day
-        self._next_seq = seq
-        self._day = min_day
-        live = self._live + revived
-        self._live = live
-        counters.events_scheduled += revived + moved
-        counters.events_cancelled += moved
-        target = self._nbuckets
-        while live > (target << 1) and target < MAX_BUCKETS:
-            target <<= 4
-        if target > MAX_BUCKETS:
-            target = MAX_BUCKETS
-        if target != self._nbuckets:
-            self._rebuild(target)  # one jump, not a chain of doublings
-
-    def cancel_many(self, events: List[CalendarEvent]) -> None:
-        """Cancel a batch of handles in one frame (already-dead ones are
-        skipped, exactly as with individual :meth:`CalendarEvent.cancel`
-        calls)."""
-        cancelled = 0
-        for event in events:
-            if event.cancelled:
-                continue
-            event.cancelled = True
-            bucket = event._bucket
-            if bucket is None:
-                continue
-            event._bucket = None
-            index = event._index
-            last = bucket.pop()
-            if last is not event:
-                bucket[index] = last
-                last._index = index
-            cancelled += 1
-        self._live -= cancelled
-        self.perf.events_cancelled += cancelled
-
-    def _rebuild(self, nbuckets: int,
-                 width: Optional[float] = None) -> None:
-        """Re-bucket all live events into ``nbuckets`` buckets.
-
-        Re-tags every entry's day, so the (time, seq) drain order is
-        untouched by construction. With ``width``, that bucket width is
-        adopted (the run loop's gap-driven adaptation); otherwise width
-        is recomputed so a day holds ~2 live entries: from the observed
-        inter-execution gap when one has been sampled, else from the
-        live population's time span (see :data:`MIN_BUCKET_WIDTH`).
-        """
-        events: List[CalendarEvent] = []
-        for bucket in self._buckets:
-            events.extend(bucket)
-        live = len(events)
-        if width is None:
-            width = self._width
-            gap = self._gap_ewma
-            if gap > 0.0:
-                width = gap * 2.0
-            elif live >= 2:
-                lo = hi = events[0].time
-                for ev in events:
-                    t = ev.time
-                    if t < lo:
-                        lo = t
-                    elif t > hi:
-                        hi = t
-                span = hi - lo
-                if span > 0.0:
-                    width = 2.0 * span / live
-        if width < MIN_BUCKET_WIDTH:
-            width = MIN_BUCKET_WIDTH
-        inv = 1.0 / width
-        self._width = width
-        self._inv_width = inv
-        buckets: List[List[CalendarEvent]]
-        if nbuckets == self._nbuckets:
-            # Width-only rebuild (the run loop's gap adaptation): reuse
-            # the existing lists instead of allocating nbuckets fresh
-            # ones. Only the run loop triggers this shape, and it
-            # re-syncs its locals explicitly right after, so the bucket
-            # identity staying the same is safe.
-            buckets = self._buckets
-            for b in buckets:
-                b.clear()
-        else:
-            buckets = [[] for _ in range(nbuckets)]
-            self._buckets = buckets
-        self._nbuckets = nbuckets
-        mask = nbuckets - 1
-        self._mask = mask
-        min_day: Optional[int] = None
-        for ev in events:
-            day = int(ev.time * inv)
-            ev._day = day
-            b = buckets[day & mask]
-            ev._index = len(b)
-            ev._bucket = b
-            b.append(ev)
-            if min_day is None or day < min_day:
-                min_day = day
-        self._day = min_day if min_day is not None else int(self.now * inv)
-        self.perf.bucket_resizes += 1
-
-    def _min_day(self) -> int:
-        """Day of the earliest pending event (full scan; wrap recovery)."""
-        best: Optional[float] = None
-        for bucket in self._buckets:
-            for ev in bucket:
-                t = ev.time
-                if best is None or t < best:
-                    best = t
-        assert best is not None  # only called with _live > 0
-        return int(best * self._inv_width)
-
-    def _find_next(self, limit: Optional[float],
-                   remove: bool) -> Optional[CalendarEvent]:
-        """Earliest pending event in (time, seq) order, or None.
-
-        Advances the day cursor to the found event's day. With ``limit``,
-        an event strictly beyond it is left in place and None is
-        returned. With ``remove``, the found event is swap-removed.
-
-        The bucket count only ever grows (on insert) — SRM's wave
-        pattern of schedule-a-burst-then-suppress-90% oscillates the
-        live population 10x every round, and a shrink-on-drain policy
-        rebuilds the calendar every wave. Memory is bounded by the peak
-        live population, as with the heap; :meth:`reset` reclaims it.
-        """
-        if self._live == 0:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        day = self._day
-        misses = 0
-        while True:
-            bucket = buckets[day & mask]
-            if bucket:
-                best: Optional[CalendarEvent] = None
-                best_time = 0.0
-                best_seq = 0
-                for ev in bucket:
-                    if ev._day != day:
-                        continue
-                    t = ev.time
-                    if (best is None or t < best_time
-                            or (t == best_time and ev.seq < best_seq)):
-                        best = ev
-                        best_time = t
-                        best_seq = ev.seq
-                if best is not None:
-                    self._day = day
-                    self.perf.bucket_scan_len += len(bucket)
-                    if limit is not None and best_time > limit:
-                        return None
-                    if remove:
-                        index = best._index
-                        last = bucket.pop()
-                        if last is not best:
-                            bucket[index] = last
-                            last._index = index
-                        best._bucket = None
-                        self._live -= 1
-                    return best
-            day += 1
-            misses += 1
-            if misses >= self._nbuckets:
-                # A full wrap without a hit: the population is sparse
-                # relative to the calendar year. Jump straight to the
-                # earliest occupied day instead of walking empty buckets.
-                day = self._min_day()
-                misses = 0
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run events in time order.
-
-        Stops when no events remain, when the clock would pass ``until``
-        (the clock is then advanced to exactly ``until``), or after
-        ``max_events`` events. Returns the number of events executed by
-        this call.
-        """
-        if self._running:
-            raise SimulationError("scheduler is already running")
-        self._running = True
-        executed = 0
-        scanned = 0
-        counters = self.perf
-        # The drain loop is inlined (rather than calling _find_next per
-        # event) and keeps the calendar geometry in locals; callbacks can
-        # schedule (backing the day cursor up or growing the calendar)
-        # and cancel (in-place), so the locals are re-synced after every
-        # callback return.
-        try:
-            live = self._live
-            buckets = self._buckets
-            mask = self._mask
-            nbuckets = self._nbuckets
-            day = self._day
-            misses = 0
-            ewma = self._gap_ewma
-            prev_time = self.now
-            next_adapt = executed + 64
-            permuter = self._tie_permuter
-            # Hoist the None checks out of the per-event loop.
-            until_t = float("inf") if until is None else until
-            max_e = -1 if max_events is None else max_events
-            while live:
-                if executed == max_e:
-                    break
-                bucket = buckets[day & mask]
-                best: Optional[CalendarEvent] = None
-                ties = 1
-                if bucket:
-                    best_time = 0.0
-                    best_seq = 0
-                    for ev in bucket:
-                        if ev._day != day:
-                            continue
-                        t = ev.time
-                        if best is None or t < best_time:
-                            best = ev
-                            best_time = t
-                            best_seq = ev.seq
-                            ties = 1
-                        elif t == best_time:
-                            ties += 1
-                            if ev.seq < best_seq:
-                                best = ev
-                                best_seq = ev.seq
-                if best is None:
-                    day += 1
-                    misses += 1
-                    if misses >= nbuckets:
-                        # A full wrap without a hit: the population is
-                        # sparse relative to the year. If the observed
-                        # event gap says days are far too narrow, widen;
-                        # either way jump to the earliest occupied day.
-                        if ewma > self._width * 2.0 and live >= 2:
-                            self._rebuild(nbuckets, ewma * 2.0)
-                            buckets = self._buckets
-                            mask = self._mask
-                            nbuckets = self._nbuckets
-                        day = self._min_day()
-                        misses = 0
-                    continue
-                misses = 0
-                blen = len(bucket)
-                scanned += blen
-                if best_time > until_t:
-                    self._day = day
-                    break
-                if ties > 1:
-                    # Same-instant burst: a multicast fan-out delivers to
-                    # every equidistant member at the exact same time, and
-                    # min-scanning the bucket once per member costs
-                    # O(k^2) for a k-way tie. Collect the whole tie group
-                    # in one pass, sort by seq (C-speed: unique ints),
-                    # and drain it without rescanning. Any event a
-                    # callback schedules, revives, or re-arms gets a
-                    # fresh, larger seq, so it sorts after every batch
-                    # member and the normal drain picks it up — the seq
-                    # guard below drops re-armed members from the batch
-                    # for the same reason.
-                    scanned += blen
-                    batch = [(ev.seq, ev) for ev in bucket
-                             if ev._day == day and ev.time == best_time]
-                    batch.sort()
-                    if permuter is not None:
-                        # Race-detector hook: fire the tie group in a
-                        # permuted order instead of seq order. The seq
-                        # guard below is order-independent, so the batch
-                        # mechanics need no other change.
-                        batch = permuter(batch)
-                    for seq, ev in batch:
-                        if executed == max_e:
-                            break
-                        if ev.cancelled or ev.seq != seq:
-                            continue  # cancelled or re-armed mid-batch
-                        tie_bucket = ev._bucket
-                        if tie_bucket is None:
-                            continue
-                        index = ev._index
-                        last = tie_bucket.pop()
-                        if last is not ev:
-                            tie_bucket[index] = last
-                            last._index = index
-                        ev._bucket = None
-                        self._live -= 1
-                        self._day = ev._day
-                        self.now = best_time
-                        delta = best_time - prev_time - ewma
-                        ewma += (delta * 0.25 if delta < 0.0
-                                 else delta * 0.015625)
-                        prev_time = best_time
-                        ev.callback(*ev.args)
-                        executed += 1
-                    live = self._live
-                    day = self._day
-                    if buckets is not self._buckets:
-                        buckets = self._buckets
-                        mask = self._mask
-                        nbuckets = self._nbuckets
-                    continue
-                index = best._index
-                last = bucket.pop()
-                if last is not best:
-                    bucket[index] = last
-                    last._index = index
-                best._bucket = None
-                live -= 1
-                self._live = live
-                self._day = day
-                self.now = best_time
-                # Observed timer-interval distribution: asymmetric EWMA
-                # of the gap between consecutive executions — fast to
-                # shrink (1/4), slow to grow (1/64). Burst-then-idle
-                # workloads (a multicast fan-out's cluster of arrivals,
-                # then nothing until the next send) keep the estimate —
-                # and hence the bucket width — sized for the *dense*
-                # regime whose scans dominate, instead of letting the
-                # occasional long gap drag it up.
-                delta = best_time - prev_time - ewma
-                ewma += delta * 0.25 if delta < 0.0 else delta * 0.015625
-                prev_time = best_time
-                best.callback(*best.args)
-                executed += 1
-                live = self._live
-                day = self._day
-                if buckets is not self._buckets:
-                    buckets = self._buckets
-                    mask = self._mask
-                    nbuckets = self._nbuckets
-                if blen >= 16 and executed >= next_adapt and live >= 64:
-                    # Days are overcrowded (the min-scan just walked a
-                    # 16+ entry bucket) and the observed gap says they
-                    # are far too wide: adopt a gap-sized width. The 4x
-                    # hysteresis and the cooldown keep same-instant
-                    # bursts (which no width can separate) from
-                    # thrashing rebuilds.
-                    target = ewma * 2.0
-                    if 0.0 < target < self._width * 0.25:
-                        self._rebuild(nbuckets, target)
-                        buckets = self._buckets
-                        mask = self._mask
-                        nbuckets = self._nbuckets
-                        day = self._day
-                        next_adapt = executed + 64 + (live >> 2)
-            if until is not None and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
-            self._gap_ewma = ewma
-            self.events_processed += executed
-            counters.events_executed += executed
-            counters.bucket_scan_len += scanned
-        return executed
-
-    def step(self) -> bool:
-        """Execute the single next pending event. Returns False if none."""
-        event = self._find_next(None, True)
-        if event is None:
-            return False
-        self.now = event.time
-        event.callback(*event.args)
-        self.events_processed += 1
-        self.perf.events_executed += 1
-        return True
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if none are pending."""
-        event = self._find_next(None, False)
-        return None if event is None else event.time
-
-    def reset(self) -> None:
-        """Drop all pending events, rewind the clock, reclaim buckets."""
-        if self._running:
-            raise SimulationError("cannot reset a running scheduler")
-        for bucket in self._buckets:
-            for ev in bucket:
-                ev._bucket = None  # late cancels must not corrupt counters
-        self._buckets = [[] for _ in range(MIN_BUCKETS)]
-        self._nbuckets = MIN_BUCKETS
-        self._mask = MIN_BUCKETS - 1
-        self._width = 1.0
-        self._inv_width = 1.0
-        self._live = 0
-        self._day = 0
-        self._gap_ewma = 0.0
-        self.now = 0.0
-        self.events_processed = 0
-
-
-#: Either concrete backend; both execute identical (time, seq) order.
-SimScheduler = Union[EventScheduler, CalendarScheduler]
-
-#: Backend used when ``SRM_SCHED_BACKEND`` is unset. Calendar won the
-#: A/B equivalence sweep (byte-identical goldens) and the kernel bench.
-DEFAULT_BACKEND = "calendar"
-
-#: Environment variable selecting the backend (``heap`` or ``calendar``);
-#: set by ``--sched-backend`` so runner worker processes inherit it.
-SCHED_BACKEND_ENV = "SRM_SCHED_BACKEND"
-
-_BACKENDS = ("heap", "calendar")
-
-
-def scheduler_backend() -> str:
-    """The configured backend name: env override or the default."""
-    from repro import env
-
-    name = env.sched_backend()
-    if not name:
-        return DEFAULT_BACKEND
-    if name not in _BACKENDS:
-        raise SimulationError(
-            f"unknown scheduler backend {name!r} "
-            f"(expected one of {', '.join(_BACKENDS)})")
-    return name
-
-
-def create_scheduler(backend: Optional[str] = None) -> SimScheduler:
-    """Build a scheduler: ``backend`` overrides ``SRM_SCHED_BACKEND``."""
-    name = backend if backend is not None else scheduler_backend()
-    if name == "heap":
-        return EventScheduler()
-    if name == "calendar":
-        return CalendarScheduler()
-    raise SimulationError(
-        f"unknown scheduler backend {name!r} "
-        f"(expected one of {', '.join(_BACKENDS)})")
+#: The traced benchmark (``perfbench/layers.py``) patches
+#: ``CalendarScheduler.run`` by name, from when the calendar queue was
+#: the default backend; the alias keeps that wrap on the one drain loop.
+CalendarScheduler = EventScheduler

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.network import Network
 from repro.net.packet import NodeId
-from repro.sim.scheduler import SimScheduler
+from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import Trace
 
 
@@ -47,7 +47,7 @@ class TopologySpec:
     def degree(self, node: NodeId) -> int:
         return sum(1 for a, b in self.edges if node in (a, b))
 
-    def build(self, scheduler: Optional[SimScheduler] = None,
+    def build(self, scheduler: Optional[EventScheduler] = None,
               trace: Optional[Trace] = None, delivery: str = "direct",
               delay: float = 1.0, threshold: int = 1) -> Network:
         """Instantiate the spec into a simulated network.

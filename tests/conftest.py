@@ -54,10 +54,10 @@ def examples(base: int) -> int:
 
 def build_srm_session(spec: TopologySpec, members: Iterable[int],
                       config: Optional[SrmConfig] = None, seed: int = 0,
-                      delivery: str = "direct",
+                      delivery: str = "direct", scheduler=None,
                       ) -> Tuple[Network, Dict[int, SrmAgent], GroupAddress]:
     """Instantiate a network and attach SRM agents on the given members."""
-    network = spec.build(delivery=delivery)
+    network = spec.build(scheduler=scheduler, delivery=delivery)
     network.trace.enabled = True
     group = network.groups.allocate("session")
     master = RandomSource(seed)

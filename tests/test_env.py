@@ -67,12 +67,18 @@ def test_check_accessor_and_setter(monkeypatch):
 
 
 def test_sched_backend_is_normalized(monkeypatch):
-    monkeypatch.delenv("SRM_SCHED_BACKEND", raising=False)
-    assert env.sched_backend() == ""
-    monkeypatch.setenv("SRM_SCHED_BACKEND", "  HEAP ")
-    assert env.sched_backend() == "heap"
-    env.set_sched_backend("calendar")
-    assert os.environ["SRM_SCHED_BACKEND"] == "calendar"
+    # The heap is the only backend: unset or "heap" (in any case and
+    # spacing) is accepted, anything else fails scheduler construction.
+    from repro.sim.scheduler import EventScheduler, SimulationError
+
+    for value in ("", "heap", "  HEAP "):
+        monkeypatch.setenv("SRM_SCHED_BACKEND", value)
+        EventScheduler()
+    for value in ("calendar", "quantum"):
+        monkeypatch.setenv("SRM_SCHED_BACKEND", value)
+        with pytest.raises(SimulationError,
+                           match="calendar scheduler backend was removed"):
+            EventScheduler()
 
 
 def test_cache_dir_default_and_override(monkeypatch):
@@ -163,11 +169,12 @@ def test_call_sites_read_through_the_registry(monkeypatch):
     """The migrated call sites honor the knobs via repro.env."""
     from repro.oracle.base import check_mode_enabled
     from repro.runner.executor import code_version_salt
-    from repro.sim.scheduler import scheduler_backend
+    from repro.sim.scheduler import EventScheduler, SimulationError
 
     monkeypatch.setenv("SRM_CHECK", "1")
     assert check_mode_enabled() is True
-    monkeypatch.setenv("SRM_SCHED_BACKEND", "heap")
-    assert scheduler_backend() == "heap"
+    monkeypatch.setenv("SRM_SCHED_BACKEND", "calendar")
+    with pytest.raises(SimulationError):
+        EventScheduler()
     monkeypatch.setenv("SRM_CACHE_SALT", "pinned")
     assert code_version_salt() == "pinned"

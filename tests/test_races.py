@@ -4,13 +4,13 @@ The determinism contract fixes the ``(time, seq)`` drain order; the
 race detector checks the stronger invariant that protocol behavior is
 *invariant* to same-instant drain order. These tests pin three things:
 
-* the scheduler permutation hooks preserve semantics (a permuted run
-  fires the same events, and both backends agree under permutation),
+* the scheduler permutation hook preserves semantics (a permuted run
+  fires the same events),
 * the clean scenario suite is byte-identical under permuted replay
   while genuinely permuting tie batches (no vacuous pass), and
 * the injected tie-order canary — an unordered-set leader election
-  inside a timer callback — is caught on the heap backend, the
-  calendar backend, and the herd engine, with a usable trace diff.
+  inside a timer callback — is caught on the agent engine and on the
+  herd engine, with a usable trace diff.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.lint.races import (
     canonical_stream,
     check_races,
 )
-from repro.sim.scheduler import CalendarScheduler, EventScheduler
+from repro.sim.scheduler import EventScheduler
 
 CLEAN_NAMES = [scenario.name for scenario in SCENARIOS]
 CANARY_NAMES = [scenario.name for scenario in INJECT_SCENARIOS]
@@ -36,11 +36,9 @@ CANARY_NAMES = [scenario.name for scenario in INJECT_SCENARIOS]
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [EventScheduler, CalendarScheduler],
-                         ids=["heap", "calendar"])
-def test_permuter_reorders_ties_but_keeps_the_event_set(make):
+def test_permuter_reorders_ties_but_keeps_the_event_set():
     fired = []
-    sched = make()
+    sched = EventScheduler()
     for tag in ["a", "b", "c", "d"]:
         sched.schedule(1.0, fired.append, tag)
     sched.schedule(2.0, fired.append, "late")
@@ -49,11 +47,9 @@ def test_permuter_reorders_ties_but_keeps_the_event_set(make):
     assert fired == ["d", "c", "b", "a", "late"]
 
 
-@pytest.mark.parametrize("make", [EventScheduler, CalendarScheduler],
-                         ids=["heap", "calendar"])
-def test_permuted_callback_may_reschedule_and_cancel(make):
+def test_permuted_callback_may_reschedule_and_cancel():
     fired = []
-    sched = make()
+    sched = EventScheduler()
 
     def arm_same_instant():
         fired.append("head")
@@ -68,19 +64,6 @@ def test_permuted_callback_may_reschedule_and_cancel(make):
     # follow-on event (fresh seq) lands in the next batch — exactly the
     # contract semantics, just reordered within the instant.
     assert fired == ["head", "follow-on"]
-
-
-def test_backends_agree_under_the_same_permutation():
-    def run(make):
-        fired = []
-        sched = make()
-        for rank in range(6):
-            sched.schedule(1.0, fired.append, rank)
-        sched.set_tie_permuter(TiePermutation(3))
-        sched.run()
-        return fired
-
-    assert run(EventScheduler) == run(CalendarScheduler)
 
 
 def test_tie_permutation_is_seeded_and_counts_batches():
@@ -105,7 +88,7 @@ def test_clean_scenario_is_drain_order_invariant(name):
     assert report.ok, report.format()
     assert report.permuted_batches > 0, \
         "vacuous pass: no tie batch was ever permuted"
-    assert report.replays == 2 * 8  # two backends x permutations
+    assert report.replays == 8  # one replay per permutation
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +100,7 @@ def test_clean_scenario_is_drain_order_invariant(name):
 def test_injected_tie_order_bug_is_caught(name):
     report = check_races([name], permutations=4, inject="tie-order")
     assert not report.ok
-    backends = {finding.backend for finding in report.findings}
-    assert backends == {"calendar", "heap"}
+    assert report.replays == 4
     excerpt = report.findings[0].excerpt
     assert "--- contract-order" in excerpt
     assert "+++ permuted-order" in excerpt
@@ -178,4 +160,3 @@ def test_cli_injected_canary_exits_nonzero_with_diff(capsys):
 
 def test_cli_unknown_scenario_is_usage_error():
     assert lint_main(["--races", "--race-scenarios", "nope"]) == 2
-    assert lint_main(["--races", "--race-backends", "quantum"]) == 2

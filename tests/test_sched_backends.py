@@ -1,11 +1,12 @@
-"""Cross-backend scheduler equivalence and calendar-queue regressions.
+"""The event scheduler against a sorted-list reference model.
 
-The heap and calendar backends promise byte-identical behavior: any
-sequence of schedule / cancel / batch / timer / wave operations executes
-in the same (time, seq) order on both. These tests drive that promise
-three ways — a hypothesis property over random op sequences, a seed x
-topology golden replay of full SRM sessions, and targeted regressions
-for the perf-counter plumbing the benchmarks rely on.
+:class:`EventScheduler` (a binary heap with lazy deletion and
+compaction) must behave exactly like ``sched_model.ModelScheduler``, a
+naive scheduler that keeps pending events in one sorted list. These
+tests drive that promise three ways — a hypothesis property over random
+op sequences, a seed x topology golden replay of full SRM sessions, and
+targeted regressions for the perf-counter plumbing the benchmarks rely
+on.
 """
 
 from __future__ import annotations
@@ -21,32 +22,39 @@ from repro.core.names import AduName, DEFAULT_PAGE
 from repro.net.link import NthPacketDropFilter
 from repro.sim import perf
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import (SCHED_BACKEND_ENV, CalendarScheduler,
-                                 EventScheduler, create_scheduler,
-                                 scheduler_backend)
-from repro.sim.timers import Timer, TimerWave
+from repro.sim.scheduler import EventScheduler
+from repro.sim.timers import Timer
 from repro.topology.chain import chain
 from repro.topology.random_tree import random_labeled_tree
 from repro.topology.star import star
 
 from conftest import build_srm_session, examples
+from sched_model import ModelScheduler
 
 BENCH_DIR = str(Path(__file__).resolve().parent.parent / "benchmarks")
 
 
 # ----------------------------------------------------------------------
-# Property: any op sequence executes identically on both backends
+# Property: any op sequence executes exactly as the model does
 # ----------------------------------------------------------------------
 
 # Delays drawn from a small grid *and* the continuum: the grid forces
-# exact same-instant ties (the calendar backend's tie-batch drain), the
-# continuum exercises bucket-width adaptation.
+# exact same-instant ties, the continuum exercises general heap order.
 _delay = st.one_of(
     st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0]),
     st.floats(min_value=0.0, max_value=5.0,
               allow_nan=False, allow_infinity=False))
 
-_op = st.tuples(st.integers(0, 11), _delay)
+# (op code, delay, pick): ``pick`` chooses among the most recent
+# handles and timers, which are the ones most likely still pending.
+_op = st.tuples(st.integers(0, 9), _delay, st.integers(0, 5))
+
+
+def _permuted_heap():
+    """The heap on the race detector's drain, with an identity permuter."""
+    sched = EventScheduler()
+    sched.set_tie_permuter(lambda batch: batch)
+    return sched
 
 
 def _drive(sched, ops):
@@ -54,95 +62,71 @@ def _drive(sched, ops):
     log = []
     handles = []
     timers = []
-    wave = TimerWave(sched, lambda m: log.append(
-        ("wave", round(sched.now, 9), m)))
 
     def fire(tag):
-        log.append(("fire", round(sched.now, 9), tag))
+        log.append(("fire", sched.now, tag))
 
-    for i, (op, value) in enumerate(ops):
-        if op <= 2:
+    for i, (op, value, pick) in enumerate(ops):
+        if op <= 1:
             handles.append(sched.schedule(value, fire, i))
-        elif op == 3:
-            sched.schedule_at(sched.now + value, fire, -i)
-        elif op == 4 and handles:
-            handles[int(value * 977.0) % len(handles)].cancel()
-        elif op == 5:
-            batch = sched.schedule_many(
-                [value, value * 0.5, value],
-                lambda i=i: fire(f"m{i}"))
-            handles.extend(batch)
-        elif op == 6 and handles:
-            sub = handles[-3:]
-            if int(value * 31.0) % 2:
-                # Updates ``sub`` in place with the fresh handles.
-                sched.rearm_many(sub, [value, value * 0.7,
-                                       value * 0.7][:len(sub)])
-                handles[-len(sub):] = sub
-            else:
-                sched.cancel_many(sub)
-        elif op == 7:
+        elif op == 2:
+            handles.append(sched.schedule_at(sched.now + value, fire, -i))
+        elif op == 3 and handles:
+            handles[-1 - pick % len(handles)].cancel()
+        elif op == 4:
             timer = Timer(sched, lambda i=i: fire(f"t{i}"), name=f"t{i}")
             timer.start(value)
             timers.append(timer)
-        elif op == 8 and timers:
-            timer = timers[int(value * 977.0) % len(timers)]
-            choice = int(value * 31.0) % 3
-            if choice == 0:
+        elif op == 5 and timers:
+            timer = timers[-1 - pick % len(timers)]
+            if pick % 3 == 0:
                 timer.start(value)
-            elif choice == 1:
+            elif pick % 3 == 1:
                 timer.reschedule(value * 0.5)
             else:
                 timer.cancel()
-        elif op == 9:
-            if wave.armed:
-                log.append(("wcancel", round(sched.now, 9),
-                            wave.cancel_all()))
-            else:
-                wave.arm([value, value * 0.5, value, value * 0.25])
-        elif op == 10:
-            sched.run(until=sched.now + value)
-            log.append(("ran", round(sched.now, 9), sched.pending()))
+        elif op == 6:
+            ran = sched.run(until=sched.now + value)
+            log.append(("ran", sched.now, ran, sched.pending()))
+        elif op == 7:
+            ran = sched.run(max_events=int(value * 2.0))
+            log.append(("ran", sched.now, ran, sched.pending()))
+        elif op == 8:
+            log.append(("step", sched.step(), sched.now, sched.peek_time()))
         else:
-            sched.step()
-            peek = sched.peek_time()
-            log.append(("peek", round(sched.now, 9),
-                        None if peek is None else round(peek, 9)))
+            log.append(("peek", sched.now, sched.peek_time()))
     sched.run(until=sched.now + 30.0)
-    log.append(("end", round(sched.now, 9), sched.pending()))
+    log.append(("end", sched.now, sched.pending()))
     return log
 
 
 @settings(max_examples=examples(40))
-@given(ops=st.lists(_op, min_size=1, max_size=80))
+@given(ops=st.lists(_op, min_size=10, max_size=80))
 def test_backends_execute_any_op_sequence_identically(ops):
-    heap_log = _drive(EventScheduler(), ops)
-    calendar_log = _drive(CalendarScheduler(), ops)
-    assert heap_log == calendar_log
+    model_log = _drive(ModelScheduler(), ops)
+    assert _drive(EventScheduler(), ops) == model_log
+    assert _drive(_permuted_heap(), ops) == model_log
 
 
 @settings(max_examples=examples(20))
-@given(ops=st.lists(_op, min_size=1, max_size=60))
+@given(ops=st.lists(_op, min_size=10, max_size=60))
 def test_backends_agree_on_lifecycle_counters(ops):
+    model = ModelScheduler()
+    _drive(model, ops)
     perf.GLOBAL.reset()
     _drive(EventScheduler(), ops)
     heap_counts = perf.GLOBAL.as_dict()
-    perf.GLOBAL.reset()
-    _drive(CalendarScheduler(), ops)
-    calendar_counts = perf.GLOBAL.as_dict()
-    for key in ("events_scheduled", "events_executed", "events_cancelled"):
-        assert heap_counts[key] == calendar_counts[key], key
+    for key, count in model.counts.items():
+        assert heap_counts[key] == count, key
 
 
 # ----------------------------------------------------------------------
-# Golden replay: full SRM sessions are identical across backends
+# Golden replay: full SRM sessions are identical on heap and model
 # ----------------------------------------------------------------------
 
-def _session_trace(backend, seed, spec_name, monkeypatch):
-    monkeypatch.setenv(SCHED_BACKEND_ENV, backend)
-    assert scheduler_backend() == backend
+def _session_trace(make, seed, spec_name, monkeypatch):
     # Packet uids flow into trace details and come from a process-global
-    # counter; restart it so both backends' runs see identical ids.
+    # counter; restart it so both runs see identical ids.
     import itertools
 
     from repro.net import packet as packet_module
@@ -155,7 +139,8 @@ def _session_trace(backend, seed, spec_name, monkeypatch):
     else:
         spec = random_labeled_tree(8, rng)
     members = list(range(spec.num_nodes))
-    network, agents, _ = build_srm_session(spec, members, seed=seed)
+    network, agents, _ = build_srm_session(spec, members, seed=seed,
+                                           scheduler=make())
     source = members[0]
     drop_link = rng.choice(spec.edges)
     network.add_drop_filter(*drop_link, NthPacketDropFilter(
@@ -174,9 +159,10 @@ def _session_trace(backend, seed, spec_name, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_seed_matrix_replay_is_identical_across_backends(
         seed, spec_name, monkeypatch):
-    heap_trace = _session_trace("heap", seed, spec_name, monkeypatch)
-    calendar_trace = _session_trace("calendar", seed, spec_name, monkeypatch)
-    assert heap_trace == calendar_trace
+    heap_trace = _session_trace(EventScheduler, seed, spec_name, monkeypatch)
+    model_trace = _session_trace(ModelScheduler, seed, spec_name,
+                                 monkeypatch)
+    assert heap_trace == model_trace
     assert len(heap_trace) > 0
 
 
@@ -207,8 +193,7 @@ def test_bench_resets_counters_between_benches():
     assert result["kernel"]["heap_peak"] <= 10
 
 
-def test_batched_deliveries_counter_counts_merged_events(monkeypatch):
-    monkeypatch.setenv(SCHED_BACKEND_ENV, "calendar")
+def test_batched_deliveries_counter_counts_merged_events():
     perf.GLOBAL.reset()
     network, agents, _ = build_srm_session(star(8), range(1, 9))
     network.scheduler.schedule(0.0, lambda: agents[1].send_data("x"))
@@ -218,76 +203,17 @@ def test_batched_deliveries_counter_counts_merged_events(monkeypatch):
     assert perf.GLOBAL.batched_deliveries > 0
 
 
-def test_calendar_counters_move_under_churn(monkeypatch):
-    monkeypatch.setenv(SCHED_BACKEND_ENV, "calendar")
+@pytest.mark.parametrize("make", [EventScheduler, _permuted_heap],
+                         ids=["contract", "permuted"])
+def test_scan_counter_counts_every_popped_entry(make):
+    """``bucket_scan_len`` (the traced benchmark's scans per event) counts
+    each heap entry a drain pops, live or lazily cancelled."""
     perf.GLOBAL.reset()
-    sched = create_scheduler()
-    assert isinstance(sched, CalendarScheduler)
-    rng = RandomSource(3)
-    for i in range(5000):
-        sched.schedule(rng.uniform(0.0, 50.0), lambda: None)
-    sched.run()
-    assert perf.GLOBAL.bucket_resizes > 0
-    assert perf.GLOBAL.bucket_scan_len > 0
-
-
-# ----------------------------------------------------------------------
-# TimerWave (the bulk suppression primitive cancel_heavy benchmarks)
-# ----------------------------------------------------------------------
-
-@pytest.fixture(params=["heap", "calendar"])
-def wave_sched(request):
-    return (EventScheduler() if request.param == "heap"
-            else CalendarScheduler())
-
-
-def test_wave_fires_members_in_time_then_index_order(wave_sched):
-    fired = []
-    wave = TimerWave(wave_sched, fired.append)
-    # Ties at 1.0 must fire in index order (2 before 4), exactly as a
-    # sort of (time, index) tuples would order them.
-    wave.arm([3.0, 2.0, 1.0, 5.0, 1.0])
-    wave_sched.run()
-    assert fired == [2, 4, 1, 0, 3]
-    assert wave.fired == 5
-    assert wave.pending() == 0
-    assert not wave.armed
-
-
-def test_wave_cancel_all_retires_everything(wave_sched):
-    fired = []
-    wave = TimerWave(wave_sched, fired.append)
-    wave.arm([1.0, 2.0, 3.0, 4.0])
-    wave_sched.run(until=2.5)
-    assert fired == [0, 1]
-    assert wave.cancel_all() == 2
-    wave_sched.run()
-    assert fired == [0, 1]
-    assert wave.cancel_all() == 0  # idempotent on an idle wave
-
-
-def test_wave_callback_can_cancel_the_rest(wave_sched):
-    fired = []
-    wave = TimerWave(wave_sched, None)
-
-    def on_fire(member):
-        fired.append(member)
-        wave.cancel_all()
-
-    wave._callback = on_fire
-    wave.arm([1.0, 1.0, 1.0, 2.0])
-    wave_sched.run()
-    assert fired == [0]
-
-
-def test_wave_rejects_double_arm_and_negative_delays(wave_sched):
-    wave = TimerWave(wave_sched, lambda m: None)
-    with pytest.raises(ValueError):
-        wave.arm([1.0, -0.5])
-    wave.arm([1.0])
-    with pytest.raises(ValueError):
-        wave.arm([2.0])
-    wave_sched.run()
-    wave.arm([2.0])  # re-armable once drained
-    wave_sched.run()
-    assert wave.fired == 2
+    sched = make()
+    events = [sched.schedule(float(i % 4), lambda: None) for i in range(10)]
+    for event in events[:3]:
+        event.cancel()
+    assert sched.step() is True
+    assert sched.run() == 6
+    assert perf.GLOBAL.events_executed == 7
+    assert perf.GLOBAL.bucket_scan_len == 10

@@ -1,22 +1,25 @@
 """Unit tests for the discrete-event scheduler.
 
-Every test runs against both backends (the binary heap and the calendar
-queue): the two must be behaviorally indistinguishable — identical
-(time, seq) execution order, identical error behavior, identical
-clock/step/peek semantics.
+Every test runs against both drain loops of :class:`EventScheduler`:
+the contract drain, and the race detector's tie-permuting drain with an
+identity permuter installed. The two must be indistinguishable —
+identical (time, seq) execution order, identical error behavior,
+identical clock/step/peek semantics.
 """
+
+import math
 
 import pytest
 
-from repro.sim.scheduler import (CalendarScheduler, EventScheduler,
-                                 SimulationError)
+from repro.sim.scheduler import EventScheduler, SimulationError
 
 
-@pytest.fixture(params=["heap", "calendar"])
+@pytest.fixture(params=["heap", "permuted"])
 def sched(request):
-    if request.param == "heap":
-        return EventScheduler()
-    return CalendarScheduler()
+    sched = EventScheduler()
+    if request.param == "permuted":
+        sched.set_tie_permuter(lambda batch: batch)
+    return sched
 
 
 def test_events_run_in_time_order(sched):
@@ -109,8 +112,8 @@ def test_max_events_limits_execution(sched):
 
 
 def test_max_events_limits_execution_within_a_tie(sched):
-    # Simultaneous events exercise the calendar backend's tie-batch
-    # drain; max_events must still stop mid-burst.
+    # Simultaneous events exercise the permuting drain's tie batches;
+    # max_events must still stop mid-burst.
     fired = []
     for i in range(10):
         sched.schedule(1.0, fired.append, i)
@@ -192,8 +195,8 @@ def test_zero_delay_event_fires_at_current_time(sched):
 def test_event_scheduled_inside_a_tie_fires_after_the_tie(sched):
     # An event scheduled at the *same instant* from inside a
     # simultaneous burst gets a larger seq, so it fires after every
-    # member of the burst — on both backends (on the calendar this is
-    # the tie-batch drain's seq guarantee).
+    # member of the burst — on the permuting drain it forms the next
+    # tie batch.
     order = []
 
     def second(label):
@@ -225,3 +228,30 @@ def test_cancel_inside_a_tie_suppresses_later_members(sched):
         events.append(sched.schedule(1.0, member, i))
     sched.run()
     assert fired == [0, 1, 3]
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+def test_schedule_rejects_non_finite_delays(sched, delay):
+    # A NaN time compares false against everything: in the heap it would
+    # fire events out of order and leave the clock at NaN.
+    order = []
+    sched.schedule(2.0, order.append, "b")
+    with pytest.raises(SimulationError):
+        sched.schedule(delay, order.append, "x")
+    sched.schedule(1.0, order.append, "a")
+    sched.run(until=10.0)
+    assert order == ["a", "b"]
+    assert sched.now == 10.0
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_schedule_at_rejects_non_finite_times(sched, time):
+    order = []
+    sched.schedule_at(2.0, order.append, "b")
+    with pytest.raises(SimulationError):
+        sched.schedule_at(time, order.append, "x")
+    sched.schedule_at(1.0, order.append, "a")
+    sched.run(until=10.0)
+    assert order == ["a", "b"]
+    assert sched.now == 10.0
+
