@@ -4,9 +4,9 @@ The fleet turns the one-machine :mod:`repro.runner` into a service:
 
 * :mod:`repro.fleet.wire` — the frozen ``spec/v1`` JSON wire schema for
   :class:`~repro.experiments.common.ExperimentSpec` and
-  :class:`~repro.experiments.common.RunResult` (explicit
-  ``to_json``/``from_json``, schema-version field, unknown-field
-  rejection). The same encoding keys the runner's result cache.
+  :class:`~repro.experiments.common.RunResult` (codecs derived from
+  the dataclasses, schema-version field, unknown-field rejection). The
+  same encoding keys the runner's result cache.
 * :mod:`repro.fleet.controller` — a thin stdlib HTTP service that
   accepts serialized spec sweeps, schedules tasks onto registered
   workers (lease + heartbeat; expiry reschedules), stores results in

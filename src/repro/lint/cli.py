@@ -77,9 +77,9 @@ def install_options(sub: argparse.ArgumentParser,
                           "injected (must be caught); implies --races")
     # -- wire-schema drift checker (repro.lint.wiredrift) --------------
     sub.add_argument("--wire-drift", action="store_true",
-                     help="cross-check repro.fleet.wire codecs against "
-                          "the spec dataclasses, knob registry and "
-                          "wire-schema.lock (SRM009)")
+                     help="compare the derived spec/v1 surface of "
+                          "repro.fleet.wire with wire-schema.lock and "
+                          "check SRM_* knob literals (SRM009)")
     sub.add_argument("--wire-lock", default=None, metavar="PATH",
                      help="wire schema lock file (default: "
                           "wire-schema.lock next to the baseline)")

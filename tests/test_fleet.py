@@ -260,6 +260,16 @@ def test_malformed_submissions_are_rejected(fleet):
         fleet.client.lease("w-unknown")
 
 
+def test_hostile_spec_submission_is_a_400_not_a_500(fleet):
+    payload = _specs(1)[0].to_wire()
+    payload["scenario"]["topology"]["edges"][0] = [1, 1]  # a self-loop
+    with pytest.raises(FleetError, match="400") as excinfo:
+        fleet.client._post("/api/v1/jobs", {"experiment": "x",
+                                            "specs": [payload]})
+    assert "specs[0]: spec.scenario.topology: self-loop" in \
+        str(excinfo.value)
+
+
 def test_results_before_completion_conflict(fleet):
     job = fleet.client.submit("fleettest", _specs(2))
     with pytest.raises(FleetError, match="409"):

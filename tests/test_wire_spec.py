@@ -12,6 +12,7 @@ format is frozen, not permissive.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,10 @@ from repro.core.config import AdaptiveBounds, SrmConfig
 from repro.fleet.wire import (
     WIRE_SCHEMA,
     WireFormatError,
+    result_from_json,
+    result_from_wire,
+    result_to_json,
+    spec_from_json,
     spec_from_wire,
     spec_to_json,
     spec_to_wire,
@@ -45,11 +50,22 @@ def _spec(seed: int = 3, nodes: int = 10, **overrides) -> ExperimentSpec:
     return ExperimentSpec(**fields)
 
 
+#: spec/v1 JSON recorded from the hand-written codecs that preceded the
+#: derived ones: one ``spec <json>`` or ``result <json>`` per line.
+CORPUS = Path(__file__).parent / "wire_v1_corpus.txt"
+
+
+def _fingerprint(spec: ExperimentSpec) -> str:
+    return Task(experiment="unit", index=0, fn=run_experiment,
+                kwargs={"spec": spec}).fingerprint("salt")
+
+
 def _assert_round_trip(spec: ExperimentSpec) -> None:
     decoded = ExperimentSpec.from_json(spec.to_json())
     assert decoded == spec
-    # Canonical JSON is stable across the trip too (cache-key property).
+    # Canonical JSON and the cache key are stable across the trip too.
     assert spec_to_json(decoded) == spec_to_json(spec)
+    assert _fingerprint(decoded) == _fingerprint(spec)
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +200,18 @@ def test_decoded_spec_fingerprints_identically():
     assert original == via_wire
 
 
+def test_int_in_a_float_field_keeps_json_and_fingerprint():
+    # A JSON int must not come back as a float: 1 and 1.0 render
+    # differently, so the fleet would miss the serial run's cache entry.
+    spec = _spec(seed=4, trigger_gap=1, config=SrmConfig(c2=0, d1=3))
+    decoded = ExperimentSpec.from_json(spec.to_json())
+    assert type(decoded.trigger_gap) is int
+    assert type(decoded.config.c2) is int
+    assert decoded.to_json() == spec.to_json()
+    assert decoded.to_json().endswith('"trigger_gap":1}')
+    assert _fingerprint(decoded) == _fingerprint(spec)
+
+
 def test_canonical_uses_the_wire_encoding_for_specs():
     spec = _spec(seed=2)
     assert canonical({"spec": spec}) == {"spec": spec_to_wire(spec)}
@@ -267,3 +295,122 @@ def test_non_dict_payload_is_rejected():
         spec_from_wire([1, 2, 3])
     with pytest.raises(WireFormatError):
         ExperimentSpec.from_json("[]")
+
+
+def _hostile(mutate) -> dict:
+    payload = json.loads(spec_to_json(_spec()))
+    mutate(payload)
+    return payload
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (lambda p: p["config"].update(c1="fast"), "spec.config.c1"),
+    (lambda p: p["config"].update(adaptive=7), "spec.config.adaptive"),
+    (lambda p: p["config"].update(max_request_rounds=2.5),
+     "spec.config.max_request_rounds"),
+    (lambda p: p["config"]["adaptive_bounds"].update(c2_max="big"),
+     "spec.config.adaptive_bounds.c2_max"),
+    (lambda p: p["scenario"]["topology"].update(edges=7),
+     "spec.scenario.topology.edges"),
+    (lambda p: p["scenario"]["topology"]["edges"].__setitem__(0, [2, 2]),
+     "spec.scenario.topology"),
+    (lambda p: p["scenario"]["members"].append("x"),
+     "spec.scenario.members[10]"),
+    (lambda p: p["scenario"].update(drop_edge=[0, 1, 2]),
+     "spec.scenario.drop_edge"),
+    (lambda p: p["scenario"]["topology"].update(metadata=[]),
+     "spec.scenario.topology.metadata"),
+], ids=["config-float", "config-bool", "config-int", "bounds-float",
+        "edges-not-a-list", "self-loop", "member-not-int",
+        "drop-edge-triple", "metadata-not-object"])
+def test_hostile_specs_raise_wire_errors_with_the_field_path(mutate, path):
+    with pytest.raises(WireFormatError) as excinfo:
+        spec_from_wire(_hostile(mutate))
+    assert type(excinfo.value) is WireFormatError
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_hostile_results_raise_wire_errors_with_the_field_path():
+    good = json.loads(run_experiment(_spec(seed=21)).to_json())
+    cases = [
+        (("metrics", "schema"), "bogus", "result.metrics: "),
+        (("outcomes", 0, "name", "seq"), 0, "result.outcomes[0].name: "),
+        (("outcomes", 0, "name", "page"), [1],
+         "result.outcomes[0].name.page: "),
+        (("outcomes", 0, "recovered"), 1, "result.outcomes[0].recovered: "),
+        (("outcomes", 0, "report", "recoveries"), {"x": {}},
+         "result.outcomes[0].report.recoveries: "),
+        (("outcomes", 0, "report", "request_waits"), {"01": {}},
+         "result.outcomes[0].report.request_waits: "),
+    ]
+    for keys, value, prefix in cases:
+        payload = json.loads(json.dumps(good))
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(WireFormatError) as excinfo:
+            result_from_wire(payload)
+        assert str(excinfo.value).startswith(prefix), excinfo.value
+
+
+def test_declared_optional_fields_may_be_missing():
+    spec = _spec(seed=21)
+    payload = json.loads(spec_to_json(spec))
+    del payload["scenario"]["topology"]["metadata"]
+    assert spec_from_wire(payload).scenario.spec.metadata == {}
+    result = json.loads(run_experiment(spec).to_json())
+    report = result["outcomes"][0]["report"]
+    for timing in report["recoveries"].values():
+        del timing["via"]
+    decoded = result_from_wire(result).outcomes[0].report
+    assert decoded.recoveries
+    assert all(t.via == "" for t in decoded.recoveries.values())
+    del report["requests"]
+    with pytest.raises(WireFormatError, match="missing required field"):
+        result_from_wire(result)
+
+
+def test_one_wire_error_type_for_every_boundary():
+    from repro.core import messages
+
+    assert WireFormatError is messages.WireFormatError
+    assert issubclass(messages.WireDecodeError, WireFormatError)
+
+
+# ----------------------------------------------------------------------
+# Byte identity with the recorded spec/v1 corpus
+# ----------------------------------------------------------------------
+
+
+def _corpus():
+    lines = CORPUS.read_text(encoding="utf-8").splitlines()
+    return [tuple(line.split(" ", 1)) for line in lines]
+
+
+def test_corpus_re_encodes_byte_for_byte():
+    corpus = _corpus()
+    kinds = [kind for kind, _ in corpus]
+    assert kinds.count("spec") >= 10 and kinds.count("result") >= 5
+    assert any('"__kind__":"scoped-outcome"' in text for _, text in corpus)
+    for kind, text in corpus:
+        if kind == "spec":
+            decoded = spec_from_json(text)
+            assert spec_to_json(decoded) == text
+            assert spec_from_json(spec_to_json(decoded)) == decoded
+        else:
+            decoded = result_from_json(text)
+            assert result_to_json(decoded) == text
+            again = result_from_json(result_to_json(decoded))
+            assert (again.spec, again.outcomes, again.artifacts) == \
+                (decoded.spec, decoded.outcomes, decoded.artifacts)
+
+
+def test_figure_sweeps_encode_to_the_corpus_bytes():
+    # The first spec of every sweep, encoded from the live objects (not
+    # from decoded JSON), matches the recorded bytes.
+    recorded = {text for kind, text in _corpus() if kind == "spec"}
+    for name, sweep in _figure_sweeps():
+        with pytest.raises(_Captured) as excinfo:
+            sweep(_CaptureRunner())
+        assert spec_to_json(excinfo.value.specs[0]) in recorded, name

@@ -1,48 +1,32 @@
-"""SRM009 wire-schema drift checker: codecs, knobs, digest lock."""
+"""SRM009 wire-schema drift checker: derived-surface digest, knobs."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
+from repro.experiments.common import ExperimentSpec
+from repro.fleet import wire
 from repro.lint.cli import main as lint_main
 from repro.lint.wiredrift import (
     DEFAULT_LOCK,
-    TYPE_CODECS,
     _knob_literal_violations,
-    _live_type_fields,
     check_wire_drift,
-    current_surface,
-    extract_codec_surface,
     load_lock,
     save_lock,
     surface_digest,
     update_lock,
 )
+from repro.metrics.events import MemberTiming
 
 REPO_ROOT = Path(__file__).parent.parent
 
 
-# ----------------------------------------------------------------------
-# AST extraction.
-# ----------------------------------------------------------------------
-
-
-def test_extract_codec_surface_reads_emits_and_takes():
-    source = (
-        "def thing_to_wire(thing):\n"
-        "    payload = {'a': thing.a, 'b': thing.b}\n"
-        "    payload['c'] = thing.c\n"
-        "    return payload\n"
-        "def thing_from_wire(payload):\n"
-        "    reader = _Reader(payload, 'thing')\n"
-        "    _expect_schema(reader, 'thing')\n"
-        "    a = reader.take('a')\n"
-        "    b = reader.take_opt('b', None)\n"
-        "    return a, b\n")
-    surface = extract_codec_surface(source)
-    assert surface["thing_to_wire"].keys == {"a", "b", "c"}
-    assert surface["thing_from_wire"].keys == {"a", "b", "schema"}
+def _replace_locked(monkeypatch, old, new):
+    """Swap one locked type for a look-alike in the digested surface."""
+    monkeypatch.setattr(wire, "_LOCKED_TYPES", tuple(
+        new if cls is old else cls for cls in wire._LOCKED_TYPES))
 
 
 # ----------------------------------------------------------------------
@@ -57,45 +41,75 @@ def test_clean_tree_has_no_drift():
 def test_committed_lock_matches_the_live_surface():
     lock = load_lock(REPO_ROOT / DEFAULT_LOCK)
     assert lock is not None
-    surface = current_surface(REPO_ROOT)
+    surface = wire.wire_surface()
     assert lock["schema"] == surface["schema"] == "spec/v1"
     assert lock["digest"] == surface_digest(surface)
 
 
 def test_every_wired_type_is_reflected():
-    fields = _live_type_fields()
-    assert {spec.type_name for spec in TYPE_CODECS} <= set(fields)
-    assert all(fields[spec.type_name] for spec in TYPE_CODECS)
+    types = wire.wire_surface()["types"]
+    assert set(types) == {cls.__name__ for cls in wire._LOCKED_TYPES}
+    assert len(types) == 8
+    assert all(entry["fields"] and entry["wire"] for entry in types.values())
+    # The declared layout shows up in the wire keys.
+    assert "topology" in types["Scenario"]["wire"]
+    assert "spec" in types["Scenario"]["fields"]
+    assert "schema" in types["ExperimentSpec"]["wire"]
+    assert "schema" not in types["AduName"]["wire"]
 
 
 # ----------------------------------------------------------------------
-# The acceptance fixture: a field added to ExperimentSpec without a
-# codec change and digest bump MUST fail.
+# The acceptance fixture: a field added to a wired dataclass is encoded
+# by construction, so it must move the digest and fail --wire-drift.
 # ----------------------------------------------------------------------
 
 
-def test_field_added_without_codec_change_fails():
-    fields = {name: list(values)
-              for name, values in _live_type_fields().items()}
-    fields["ExperimentSpec"] = fields["ExperimentSpec"] + ["new_knob"]
-    violations = check_wire_drift(root=REPO_ROOT, type_fields=fields)
-    messages = [v.message for v in violations]
-    assert any("ExperimentSpec.new_knob is not encoded" in m
-               for m in messages), messages
-    # The digest moves too, so even a codec-complete change cannot
-    # land without re-pinning (which demands a schema bump).
-    assert any("drifted from the committed lock" in m for m in messages)
-    assert all(v.code == "SRM009" for v in violations)
+def _grown_spec():
+    return dataclasses.make_dataclass(
+        "ExperimentSpec", [("new_knob", int, dataclasses.field(default=0))],
+        bases=(ExperimentSpec,))
 
 
-def test_removed_wire_key_fails_both_directions(tmp_path):
-    fields = {name: list(values)
-              for name, values in _live_type_fields().items()}
-    fields["MemberTiming"] = [f for f in fields["MemberTiming"]
-                              if f != "rtt"]
-    violations = check_wire_drift(root=REPO_ROOT, type_fields=fields)
-    assert any("emits 'rtt' which is not a field of MemberTiming"
-               in v.message for v in violations)
+def test_field_added_to_a_wired_dataclass_moves_the_digest(monkeypatch):
+    before = wire.wire_surface()
+    _replace_locked(monkeypatch, ExperimentSpec, _grown_spec())
+    after = wire.wire_surface()
+    grown = after["types"]["ExperimentSpec"]
+    assert set(grown["fields"]) - set(
+        before["types"]["ExperimentSpec"]["fields"]) == {"new_knob"}
+    assert set(grown["wire"]) - set(
+        before["types"]["ExperimentSpec"]["wire"]) == {"new_knob"}
+    assert surface_digest(after) != surface_digest(before)
+    violations = check_wire_drift(root=REPO_ROOT)
+    assert [v.code for v in violations] == ["SRM009"]
+    assert "drifted from the committed lock" in violations[0].message
+    target = str(REPO_ROOT / "src" / "repro" / "fleet" / "wire.py")
+    assert lint_main([target, "--baseline",
+                      str(REPO_ROOT / "lint-baseline.json"),
+                      "--wire-drift"]) == 1
+
+
+def test_field_removed_from_a_wired_dataclass_moves_the_digest(
+        monkeypatch):
+    shrunk = dataclasses.make_dataclass(
+        "MemberTiming", [(f.name, f.type) for f in
+                         dataclasses.fields(MemberTiming)
+                         if f.name != "rtt"])
+    _replace_locked(monkeypatch, MemberTiming, shrunk)
+    assert "rtt" not in wire.wire_surface()["types"]["MemberTiming"]["wire"]
+    assert any("drifted from the committed lock" in v.message
+               for v in check_wire_drift(root=REPO_ROOT))
+
+
+def test_update_lock_refuses_a_grown_type_under_an_unbumped_tag(
+        tmp_path, monkeypatch):
+    lock_path = tmp_path / "wire-schema.lock"
+    lock_path.write_bytes((REPO_ROOT / DEFAULT_LOCK).read_bytes())
+    _replace_locked(monkeypatch, ExperimentSpec, _grown_spec())
+    code, message = update_lock(lock_path)
+    assert code == 2
+    assert "WIRE_SCHEMA is still 'spec/v1'" in message
+    assert lock_path.read_bytes() == (REPO_ROOT / DEFAULT_LOCK).read_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -105,9 +119,9 @@ def test_removed_wire_key_fails_both_directions(tmp_path):
 
 def test_update_lock_is_idempotent(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
-    code, message = update_lock(lock_path, root=REPO_ROOT)
+    code, message = update_lock(lock_path)
     assert code == 0 and "pinned" in message
-    code, message = update_lock(lock_path, root=REPO_ROOT)
+    code, message = update_lock(lock_path)
     assert code == 0 and "up to date" in message
 
 
@@ -115,7 +129,7 @@ def test_update_lock_refuses_drift_under_a_frozen_tag(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
     # Same schema tag, stale digest: the surface moved without a bump.
     save_lock(lock_path, "spec/v1", "sha256:" + "0" * 64)
-    code, message = update_lock(lock_path, root=REPO_ROOT)
+    code, message = update_lock(lock_path)
     assert code == 2
     assert "WIRE_SCHEMA is still 'spec/v1'" in message
     # And the lock was not touched.
@@ -125,7 +139,7 @@ def test_update_lock_refuses_drift_under_a_frozen_tag(tmp_path):
 def test_update_lock_repins_after_a_schema_bump(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
     save_lock(lock_path, "spec/v0", "sha256:" + "0" * 64)
-    code, message = update_lock(lock_path, root=REPO_ROOT)
+    code, message = update_lock(lock_path)
     assert code == 0 and "spec/v0 -> spec/v1" in message
     assert load_lock(lock_path)["schema"] == "spec/v1"
 
